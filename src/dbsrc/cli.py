@@ -13,13 +13,16 @@ error, 3 runtime abort (partial trace still written).
 import argparse
 import math
 import sys
+from dataclasses import fields
 from typing import Callable, Dict, List, Sequence
 
 from . import _kernels as k
 from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig, Trace,
-                      TRACE_COLUMNS, run_scenario, Uncertainties)
+                      TRACE_COLUMNS, default_tank, run_scenario,
+                      Uncertainties)
 from .inversion import ControlReferences
 from .model import TankConfig
+from .power import s_add_zero_boundary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -233,7 +236,7 @@ def cmd_lowpower(values: Dict[str, str], out: str | None) -> int:
     if step <= 0:
         raise ConfigError("s_add_step must be positive")
     try:
-        ControlReferences(sigma_ref=sigma_ref, delta_ref=delta_ref)
+        refs = ControlReferences(sigma_ref=sigma_ref, delta_ref=delta_ref)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if abs(math.cos(sigma_ref)) <= 1e-9:
@@ -245,8 +248,7 @@ def cmd_lowpower(values: Dict[str, str], out: str | None) -> int:
         h0, ok0 = k.h_exact(sigma_ref, delta_ref, 0.0, gain)
         if not ok0 or h0 <= 0:
             raise ConfigError(f"references infeasible at G={gain}")
-        s_add0 = k.s_add_zero_scan(sigma_ref, delta_ref, gain, 0.0, 0.0,
-                                   math.pi / 512, 1e-9, True)
+        s_add0 = s_add_zero_boundary(refs, gain)
         for i in range(n + 1):
             s_add = min(i * step, math.pi)
             h, ok = k.h_exact(sigma_ref, delta_ref, s_add, gain)
@@ -255,22 +257,26 @@ def cmd_lowpower(values: Dict[str, str], out: str | None) -> int:
     return EXIT_OK
 
 
+_TANK = default_tank()
+# the tank has keys of its own (L, C, n, f_max); the angle and W
+# correction limits are library-only
+_LIBRARY_ONLY = ("tank", "angle_corr_limit", "w_corr_limit")
+_CHARGE_CLASSES = (ScenarioConfig, Uncertainties, ControllerGains)
+
 CHARGE_DEFAULTS: Dict[str, object] = {
-    "L": 80e-6, "C": 47e-9, "n": 600.0 / 320.0, "f_max": 165e3,
-    "v_in": 600.0, "i_cc": 25.0, "v_cv": 400.0,
-    "dt": 1e-4, "duration": 50.0, "time_scale": 100.0,
-    "sigma_ref": 0.1, "delta_ref": 0.0,
-    "capacity_ah": 30.0, "v_empty": 240.0, "v_full": 400.0,
-    "initial_charge_ah": 0.0,
-    "sensor_tau": 5e-4, "i_ref_slew": 18.0,
-    "noise_std_angle": 0.0, "noise_std_w": 0.0, "seed": 0,
-    "beta_offset": -0.1, "l_scale": 1.05,
-    "sigma_kp": 0.5, "sigma_ki": 200.0,
-    "delta_kp": 0.5, "delta_ki": 200.0,
-    "w_kp": 6.0, "w_ki": 5000.0,
-    "volt_kp": 25.0, "volt_ki": 40.0,
+    "L": _TANK.inductance, "C": _TANK.capacitance, "n": _TANK.turns_ratio,
+    "f_max": _TANK.omega_max / (2 * math.pi),
+    **{f.name: f.default for cls in _CHARGE_CLASSES for f in fields(cls)
+       if f.name not in _LIBRARY_ONLY},
     "decimate": 1,
 }
+
+
+def _from_schema(cls, cfg: Schema, **given):
+    """An instance of cls with every field that is a charge key read
+    from cfg; the other fields come from given or keep their defaults."""
+    return cls(**given, **{f.name: cfg.get(f.name) for f in fields(cls)
+                           if f.name in CHARGE_DEFAULTS})
 
 
 def _trace_rows(trace: Trace, decimate: int):
@@ -287,25 +293,9 @@ def cmd_charge(values: Dict[str, str], out: str | None) -> int:
         tank = TankConfig(inductance=cfg.get("L"), capacitance=cfg.get("C"),
                           turns_ratio=cfg.get("n"),
                           omega_max=2 * math.pi * cfg.get("f_max"))
-        scenario = ScenarioConfig(
-            tank=tank, v_in=cfg.get("v_in"), i_cc=cfg.get("i_cc"),
-            v_cv=cfg.get("v_cv"), dt=cfg.get("dt"),
-            duration=cfg.get("duration"), time_scale=cfg.get("time_scale"),
-            sigma_ref=cfg.get("sigma_ref"), delta_ref=cfg.get("delta_ref"),
-            capacity_ah=cfg.get("capacity_ah"), v_empty=cfg.get("v_empty"),
-            v_full=cfg.get("v_full"),
-            initial_charge_ah=cfg.get("initial_charge_ah"),
-            sensor_tau=cfg.get("sensor_tau"),
-            i_ref_slew=cfg.get("i_ref_slew"),
-            noise_std_angle=cfg.get("noise_std_angle"),
-            noise_std_w=cfg.get("noise_std_w"), seed=cfg.get("seed"))
-        gains = ControllerGains(
-            sigma_kp=cfg.get("sigma_kp"), sigma_ki=cfg.get("sigma_ki"),
-            delta_kp=cfg.get("delta_kp"), delta_ki=cfg.get("delta_ki"),
-            w_kp=cfg.get("w_kp"), w_ki=cfg.get("w_ki"),
-            volt_kp=cfg.get("volt_kp"), volt_ki=cfg.get("volt_ki"))
-        uncertainties = Uncertainties(beta_offset=cfg.get("beta_offset"),
-                                      l_scale=cfg.get("l_scale"))
+        scenario = _from_schema(ScenarioConfig, cfg, tank=tank)
+        gains = _from_schema(ControllerGains, cfg)
+        uncertainties = _from_schema(Uncertainties, cfg)
         ControlReferences(sigma_ref=scenario.sigma_ref,
                           delta_ref=scenario.delta_ref)
     except ValueError as exc:

@@ -90,7 +90,6 @@ def series_step(io: ControllerIo, pi_sigma: PiController,
         sigma_ref=_clamp_ref(refs.sigma_ref + corr_sigma),
         delta_ref=_clamp_ref(refs.delta_ref + corr_delta),
         s_add=refs.s_add,
-        sigma_min=refs.sigma_min,
     )
     return invert_alignment(effective, gain).params
 

@@ -36,13 +36,11 @@ class ControlReferences:
     """Setpoints for the inversion maps.
 
     sigma_ref, delta_ref: desired alignment angles in [-pi/2, pi/2];
-    s_add: additive short-time in [0, pi] used for low-power dimming;
-    sigma_min: minimum alignment angle kept in fully-driven mode.
+    s_add: additive short-time in [0, pi] used for low-power dimming.
     """
     sigma_ref: float
     delta_ref: float
     s_add: float = 0.0
-    sigma_min: float = 0.0
 
     def __post_init__(self):
         half_pi = math.pi / 2
@@ -52,8 +50,6 @@ class ControlReferences:
             raise ValueError("delta_ref out of [-pi/2, pi/2]")
         if not 0.0 <= self.s_add <= math.pi:
             raise ValueError("s_add out of [0, pi]")
-        if not 0.0 <= self.sigma_min < half_pi:
-            raise ValueError("sigma_min out of [0, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,9 @@ def fully_driven_maps(gain: float, g_star: float) -> Tuple[float, float]:
     """Feedforward maps with the input bridge fully driven (d = pi).
 
     beta = acos(min(G, G*)), s = acos(2 G* / max(G, G*) - 1) with
-    G* = cos(sigma_min); the buck and boost expressions are stitched by
-    the min/max so both are continuous at G = G*.
+    G* the cosine of the minimum alignment angle kept in fully-driven
+    mode; the buck and boost expressions are stitched by the min/max so
+    both are continuous at G = G*.
     """
     if not 0.0 < g_star <= 1.0:
         raise ValueError("G* must be in (0, 1]")

@@ -18,12 +18,10 @@ from typing import Tuple
 from . import _kernels as k
 from .errors import (InfeasibleReferenceError, UnreachablePowerError,
                      ZeroPowerReferenceError)
-from .inversion import ControlReferences, invert_alignment
+from .inversion import ControlReferences, fully_driven_maps
 from .model import SwitchingParams, TankConfig
 
-SCAN_STEP = math.pi / 512
-S_ADD0_TOL = 1e-9
-W_REL_TOL = 0.01
+
 @dataclass(frozen=True)
 class PowerReference:
     """Desired transconductance W* = I_out* / V_in (ampere/volt)."""
@@ -49,19 +47,20 @@ class PowerSolution:
 
 
 def gain_term_h(refs: ControlReferences, gain: float) -> float:
-    """Angle-dependent transconductance factor H.
-
-    H = A * (cos(s + delta*) + cos delta*) / cos sigma* with the
-    factor-4 in-phase coefficient A evaluated at the exact inverse-map
-    point for the references.
+    """Angle-dependent transconductance factor H (module docstring)
+    evaluated at the exact inverse-map point for the references.
 
     Raises:
-        InfeasibleReferenceError: propagated from the inverse map.
+        InfeasibleReferenceError: references not invertible at this gain.
     """
     if abs(math.cos(refs.sigma_ref)) <= 1e-9:
         raise ValueError("cos(sigma*) too small for the H split")
-    invert_alignment(refs, gain)  # surface infeasibility as an error
-    h, _ok = k.h_exact(refs.sigma_ref, refs.delta_ref, refs.s_add, gain)
+    if gain <= 0:
+        raise ValueError("gain must be positive")
+    h, feasible = k.h_exact(refs.sigma_ref, refs.delta_ref, refs.s_add, gain)
+    if not feasible:
+        raise InfeasibleReferenceError(
+            f"references not invertible at G={gain}")
     return h
 
 
@@ -94,20 +93,20 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
                            tank: TankConfig) -> Tuple[float, float, float]:
     """Combined fully-driven feedforward law (d = pi throughout).
 
-    (beta, s) from the stitched maps beta = acos(min(G, G*)),
-    s = acos(2 G*/max(G, G*) - 1); then
+    (beta, s) from fully_driven_maps; then
     Z = 4 n (cos s + 1) / (pi^2 W*) * sqrt(1 - G cos(beta + s)) and the
     above-resonance frequency for that Z.  For G <= G* this reduces to
     W = 8 n / pi^2 * sqrt(1 - G^2) / Z.
 
     Returns (beta, s, omega).
+
+    Raises:
+        ZeroPowerReferenceError: for W* <= 0.
+        ValueError: for G <= 0 or G* outside (0, 1].
     """
     if w_ref <= 0:
         raise ZeroPowerReferenceError("W* must be positive")
-    if not 0.0 < g_star <= 1.0:
-        raise ValueError("G* must be in (0, 1]")
-    beta = math.acos(min(gain, g_star))
-    s = math.acos(2.0 * g_star / max(gain, g_star) - 1.0)
+    beta, s = fully_driven_maps(gain, g_star)
     arg = max(1.0 - gain * math.cos(beta + s), 0.0)
     z = 4.0 * tank.turns_ratio * (math.cos(s) + 1.0) \
         / (math.pi ** 2 * w_ref) * math.sqrt(arg)
@@ -120,12 +119,18 @@ def s_add_zero_boundary(refs: ControlReferences, gain: float) -> float:
     Found by a pi/512 bracketing scan plus bisection to 1e-9.  Past
     s_add0 the factor H (hence W at fixed frequency) is non-increasing
     up to pi.  Returns 0.0 when H never rises above H(0), i.e. the
-    dimming is already monotone from the start.
+    dimming is already monotone from the start.  refs.s_add is ignored.
+
+    Raises:
+        InfeasibleReferenceError: references not invertible at s_add = 0.
     """
-    invert_alignment(ControlReferences(refs.sigma_ref, refs.delta_ref, 0.0,
-                                       refs.sigma_min), gain)
-    return k.s_add_zero_scan(refs.sigma_ref, refs.delta_ref, gain,
-                             0.0, 0.0, SCAN_STEP, S_ADD0_TOL, True)
+    if gain <= 0:
+        raise ValueError("gain must be positive")
+    s_add0, feasible = k.s_add_zero_scan(refs.sigma_ref, refs.delta_ref, gain)
+    if not feasible:
+        raise InfeasibleReferenceError(
+            f"references not invertible at G={gain} with s_add = 0")
+    return s_add0
 
 
 def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
@@ -155,7 +160,7 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     d, s, beta, omega, s_used, h, w_got, status = k.solve_controls_scan(
         refs.sigma_ref, refs.delta_ref, refs.s_add, gain, w_ref,
         sigma_reg, delta_reg, tank.inductance, tank.capacitance,
-        tank.turns_ratio, tank.omega_max, SCAN_STEP, W_REL_TOL)
+        tank.turns_ratio, tank.omega_max)
     if status == k.INFEASIBLE:
         raise InfeasibleReferenceError(
             f"corrected references not invertible at G={gain}")

@@ -4,11 +4,16 @@ codes."""
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dbsrc.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, main
+from dbsrc import (ControlReferences, ScenarioConfig, run_scenario,
+                   s_add_zero_boundary)
+from dbsrc.charger import TRACE_COLUMNS
+from dbsrc.cli import (CHARGE_DEFAULTS, EXIT_ABORT, EXIT_CONFIG, EXIT_OK,
+                       main)
 
 
 def run_cmd(tmp_path, *args):
@@ -256,3 +261,33 @@ class TestConfigHandling:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+class TestDerivedValues:
+    def test_charge_defaults_are_library_defaults(self, tmp_path):
+        code, text = run_cmd(tmp_path, "charge", "--set", "duration=0.01")
+        assert code == EXIT_OK
+        trace = run_scenario(replace(ScenarioConfig(), duration=0.01))
+        lines = [",".join(TRACE_COLUMNS)]
+        lines += [",".join(f"{v:.17g}" for v in row)
+                  for row in trace.column_stack()]
+        assert text == "\n".join(lines) + "\n"
+
+    def test_charge_keys(self):
+        assert set(CHARGE_DEFAULTS) == {
+            "L", "C", "n", "f_max", "v_in", "i_cc", "v_cv", "dt",
+            "duration", "time_scale", "sigma_ref", "delta_ref",
+            "capacity_ah", "v_empty", "v_full", "initial_charge_ah",
+            "sensor_tau", "i_ref_slew", "noise_std_angle", "noise_std_w",
+            "seed", "beta_offset", "l_scale", "sigma_kp", "sigma_ki",
+            "delta_kp", "delta_ki", "w_kp", "w_ki", "volt_kp", "volt_ki",
+            "decimate"}
+
+    def test_lowpower_boundary_is_library_boundary(self, tmp_path):
+        code, text = run_cmd(tmp_path, "lowpower")
+        assert code == EXIT_OK
+        _header, rows = rows_of(text)
+        for gain in (0.7, 1.0, 1.3):
+            column = {float(r[3]) for r in rows if float(r[0]) == gain}
+            assert column == {
+                s_add_zero_boundary(ControlReferences(0.1, 0.0), gain)}

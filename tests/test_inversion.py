@@ -268,3 +268,24 @@ class TestLinearizedInverse:
                     err = abs(d_lin - exact.params.d) + \
                         abs(s_lin - exact.params.s)
                     assert err < 10.0 * (abs(sigma_ref) + abs(delta_ref)) ** 2
+
+
+class TestInfeasibleInRange:
+    def test_failed_boost_on_time_is_infeasible(self):
+        # boost needs s = s_min + s_add > pi here and the on-time acos
+        # fails; the result must say infeasible, not carry s out of range
+        r = refs(0.0, -1.0, 1.5)
+        assert try_invert_alignment(r, 5.0).feasible is False
+        with pytest.raises(InfeasibleReferenceError):
+            invert_alignment(r, 5.0)
+
+    def test_parameters_in_range_over_domain(self):
+        rng = np.random.default_rng(2001)
+        half_pi = math.pi / 2
+        for _ in range(5000):
+            r = refs(rng.uniform(-half_pi, half_pi),
+                     rng.uniform(-half_pi, half_pi),
+                     rng.uniform(0.0, math.pi))
+            p = try_invert_alignment(r, rng.uniform(0.01, 5.0)).params
+            assert 0.0 <= p.d <= math.pi
+            assert 0.0 <= p.s <= math.pi

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from dbsrc import (ControlReferences, SwitchingParams, TankConfig,
-                   UnreachablePowerError, ZeroPowerReferenceError,
+from dbsrc import (ControlReferences, InfeasibleReferenceError,
+                   SwitchingParams, TankConfig, UnreachablePowerError,
+                   ZeroPowerReferenceError,
                    frequency_from_impedance, fully_driven_frequency,
                    gain_term_h, invert_alignment, required_impedance,
                    s_add_zero_boundary, solve_controls, tank_impedance,
@@ -184,3 +185,25 @@ class TestSolveControls:
             if previous is not None:
                 assert sol.s_add > previous
             previous = sol.s_add
+
+
+class TestDomains:
+    def test_fully_driven_frequency_rejects_non_positive_gain(self):
+        for gain in (-0.5, 0.0):
+            with pytest.raises(ValueError):
+                fully_driven_frequency(gain, 0.95, 0.05, TANK)
+
+    def test_infeasible_references_raise(self):
+        # A < 0 at the inverse-map point for these references
+        r = refs(0.2, -1.0)
+        with pytest.raises(InfeasibleReferenceError):
+            gain_term_h(r, 0.9)
+        with pytest.raises(InfeasibleReferenceError):
+            s_add_zero_boundary(r, 0.9)
+
+    def test_non_positive_gain_rejected(self):
+        for gain in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                gain_term_h(refs(), gain)
+            with pytest.raises(ValueError):
+                s_add_zero_boundary(refs(), gain)
