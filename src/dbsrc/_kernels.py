@@ -5,6 +5,18 @@ nopython mode.  The closed-loop charger simulation calls these functions
 hundreds of thousands of times (once or more per control step, plus the
 short-time scans), which is where essentially all runtime goes.
 
+The low-power solve (solve_controls_scan) dims at omega_max by finding
+the rightmost crossing of the dimming curve H(s_add) with its target.
+Cold, it walks the SCAN_STEP grid down from pi and bisects the crossing
+cell: about 240 H evaluations.  Warm, it starts from the previous
+step's root and the previous bound on the last local maximum of H:
+the bound is re-tracked along the grid, the crossing is bracketed on
+[bound, pi], where H is non-increasing and the crossing unique, and
+Illinois regula falsi narrows the bracket; the scan then evaluates only
+inside it, so the warm root is the cold scan's, bit for bit, after 9 to
+13 evaluations on the charger workloads.  When there is no such bracket
+the cold scan runs and the solve reports a fallback.
+
 Set ``DBSRC_DISABLE_JIT=1`` to skip numba and run the same functions as
 pure Python/numpy scalar code (slower; useful for debugging).
 """
@@ -24,6 +36,17 @@ A_MIN = -4e-12              # in-phase coefficient A below this is infeasible
 SCAN_STEP = PI / 512        # grid of the short-time scans
 S_ADD0_TOL = 1e-9           # bisection width of the s_add0 boundary
 W_REL_TOL = 0.01            # accepted relative W miss of the low-power scan
+BISECT_TOL = 1e-10          # final bracket width of the low-power solve
+WARM_STEP = 1e-3            # first widening step of a warm bracket
+PEAK_MOVES = 8              # grid steps a tracked maximum may move per solve
+ILLINOIS_MAX = 40           # regula falsi steps before a warm solve gives up
+
+# the scan's grid, in the order it walks down from pi (by repeated
+# subtraction, so a warm start lands on the very same points)
+SCAN_GRID = [PI]
+while SCAN_GRID[-1] > 0.0:
+    SCAN_GRID.append(SCAN_GRID[-1] - SCAN_STEP)
+SCAN_GRID = tuple(SCAN_GRID)
 
 # solver status codes
 OK_ANALYTIC = 0
@@ -126,6 +149,13 @@ def w_from_amplitude(amp, s, delta, z, ratio):
     """W = n/(2 pi^2) * sqrt(A^2+B^2)/Z * (cos(s+delta) + cos delta)."""
     return ratio / (2.0 * PI ** 2) * amp / z \
         * (math.cos(s + delta) + math.cos(delta))
+
+
+@njit(cache=True)
+def hz_split(h, w_or_z, ratio):
+    """The H/Z split W Z = n H / (2 pi^2): Z for W* given, or W for Z
+    given."""
+    return ratio * h / (2.0 * PI ** 2 * w_or_z)
 
 
 @njit(cache=True)
@@ -313,78 +343,244 @@ def s_add_zero_scan(sigma_ref, delta_ref, gain):
 
 
 @njit(cache=True)
+def dimming_h(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
+    """The dimming curve the low-power solve searches: H of
+    regulated_point at s_add, read as 0.0 where the references are
+    infeasible."""
+    _d, _s, _b, h, ok = regulated_point(
+        sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg)
+    return h if ok else 0.0
+
+
+@njit(cache=True)
+def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
+               h_target, a, b):
+    """The scan's crossing of H = h_target on (s_lo, pi]: walk SCAN_GRID
+    down from pi to the first point above the target, then bisect that
+    cell to BISECT_TOL.
+
+    H is known to be above the target at points <= a and at or below it
+    at points >= b, so only points inside (a, b) are evaluated; a = -1,
+    b = 4 (nothing known) is the cold scan.  With a bracket on the
+    monotone branch the result is the cold scan's, bit for bit.
+
+    Returns (s_add, evaluations).
+    """
+    n = 0
+    k = max(1, int((PI - b) / SCAN_STEP))
+    hi = SCAN_GRID[k - 1]     # pi or a point >= b: at or below the target
+    lo = s_lo                 # H(s_lo) > h_target, established by the caller
+    x = SCAN_GRID[k]
+    while x > s_lo:
+        if x < b:
+            if x <= a:
+                lo = x
+                break
+            n += 1
+            if dimming_h(sigma_ref, delta_ref, x, gain, sigma_reg,
+                         delta_reg) > h_target:
+                lo = x
+                break
+        hi = x
+        k += 1
+        x = SCAN_GRID[k]
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if a < mid < b:
+            n += 1
+            above = dimming_h(sigma_ref, delta_ref, mid, gain, sigma_reg,
+                              delta_reg) > h_target
+        else:
+            above = mid <= a
+        if above:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), n
+
+
+@njit(cache=True)
+def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
+               s_peak):
+    """Bound on the last local maximum of H, tracked from the previous
+    bound s_peak: climb along SCAN_GRID to a point that neither grid
+    neighbour exceeds (ties go left, towards s_lo).  The maximum lies
+    within one grid step of that point, so the bound is the next grid
+    point to the right, and H is non-increasing from it to pi.
+
+    The climb starts next to s_peak and may take PEAK_MOVES steps; when
+    s_peak is unknown (negative) or the maximum has moved farther, it
+    starts at pi and walks down to the first maximum instead.
+
+    Returns (bound, evaluations).
+    """
+    if s_peak < 0.0:
+        k, moves = 1, len(SCAN_GRID)
+    else:
+        k = int(round((PI - s_peak) / SCAN_STEP)) + 1
+        k, moves = min(max(k, 1), len(SCAN_GRID) - 2), PEAK_MOVES
+    hx = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k], gain, sigma_reg,
+                   delta_reg)
+    hl = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k + 1], gain, sigma_reg,
+                   delta_reg)
+    hr = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k - 1], gain, sigma_reg,
+                   delta_reg)
+    n = 3
+    for _ in range(moves):
+        if hl >= hx and SCAN_GRID[k + 1] > s_lo:
+            k += 1
+            hr, hx = hx, hl
+            hl = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k + 1], gain,
+                           sigma_reg, delta_reg)
+        elif hr > hx:
+            if k == 1:
+                return PI, n      # H rises into pi
+            k -= 1
+            hl, hx = hx, hr
+            hr = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k - 1], gain,
+                           sigma_reg, delta_reg)
+        else:
+            return SCAN_GRID[k - 1], n
+        n += 1
+    bound, m = _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg,
+                          delta_reg, -1.0)
+    return bound, n + m
+
+
+@njit(cache=True)
+def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
+                  h_target, x0):
+    """Bracket [a, b] of H = h_target inside [s_lo, pi] with
+    H(a) > h_target >= H(b): widen geometrically from x0 by WARM_STEP,
+    then narrow with Illinois regula falsi (Dowell & Jarratt 1971) to
+    BISECT_TOL.
+
+    Returns (a, b, evaluations); a is -1.0 when [s_lo, pi] holds no
+    bracket or the narrowing does not converge.
+    """
+    x = min(max(x0, s_lo), PI)
+    fx = dimming_h(sigma_ref, delta_ref, x, gain, sigma_reg, delta_reg) \
+        - h_target
+    n = 1
+    step = WARM_STEP
+    a, fa, b, fb = x, fx, x, fx
+    if fx > 0.0:
+        while fb > 0.0:         # crossing right of x: move b out
+            if b >= PI:
+                return -1.0, 0.0, n
+            a, fa = b, fb
+            b = min(b + step, PI)
+            fb = dimming_h(sigma_ref, delta_ref, b, gain, sigma_reg,
+                           delta_reg) - h_target
+            n += 1
+            step *= 2.0
+    else:
+        while fa <= 0.0:        # crossing left of x: move a out
+            if a <= s_lo:
+                return -1.0, 0.0, n
+            b, fb = a, fa
+            a = max(a - step, s_lo)
+            fa = dimming_h(sigma_ref, delta_ref, a, gain, sigma_reg,
+                           delta_reg) - h_target
+            n += 1
+            step *= 2.0
+    side = 0
+    for _ in range(ILLINOIS_MAX):
+        if b - a <= BISECT_TOL:
+            return a, b, n
+        x = (a * fb - b * fa) / (fb - fa)
+        # strictly inside, so that rounding cannot stall it on an end
+        x = min(max(x, a + 0.25 * BISECT_TOL), b - 0.25 * BISECT_TOL)
+        fx = dimming_h(sigma_ref, delta_ref, x, gain, sigma_reg,
+                       delta_reg) - h_target
+        n += 1
+        if fx > 0.0:
+            a, fa = x, fx
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        else:
+            b, fb = x, fx
+            if side == -1:
+                fa *= 0.5
+            side = -1
+    return -1.0, 0.0, n
+
+
+@njit(cache=True)
 def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
-                        sigma_reg, delta_reg, ind, cap, ratio, omega_max):
+                        sigma_reg, delta_reg, ind, cap, ratio, omega_max,
+                        s_prev=-1.0, s_peak=-1.0):
     """Outer power-control loop: pick (d, s, beta, omega, s_add).
 
-    Analytic branch: at the requested s_add compute the angle factor H,
-    the required impedance Z = n H / (2 pi^2 W*) and the above-resonance
-    frequency; if it fits under omega_max, done.  Otherwise pin
-    omega = omega_max and dim via the short-time: H(s_add) is
-    non-monotone from 0 but ends at 0 at pi, so locate the rightmost
-    crossing of the target H* = 2 pi^2 Z_max W* / n by scanning down
-    from pi in SCAN_STEP steps (this lands on the final monotone branch,
-    past the discontinuous jump from the s_add = 0 operating point) and
-    refine by bisection.  A scan result more than W_REL_TOL off W* is
-    reported unreachable.
+    Analytic branch: at the requested s_add (in [0, pi]) compute the
+    angle factor H, the required impedance Z from the H/Z split and the
+    above-resonance frequency; if it fits under omega_max, done.
+    Otherwise pin omega = omega_max and dim via the short-time: H(s_add)
+    is non-monotone from 0 but ends at 0 at pi, so locate the rightmost
+    crossing of the target H* (the split at Z_max) by scanning down from
+    pi in SCAN_STEP steps (this lands on the final monotone branch, past
+    the discontinuous jump from the s_add = 0 operating point) and refine
+    by bisection.  A result more than W_REL_TOL off W* is reported
+    unreachable.
 
-    Returns (d, s, beta, omega, s_add_used, h, w_achieved, status).
+    Warm start: s_prev >= 0 is the previous low-power root and s_peak
+    the previous bound on the last local maximum of H (negative: not
+    known yet).  The bound is tracked from s_peak, the crossing is
+    bracketed from s_prev on [bound, pi], where H is non-increasing and
+    the crossing unique, and the scan then evaluates only inside that
+    bracket, which gives the cold scan's s_add bit for bit.  Without a
+    bracket there (the crossing moved left of the hump, or none was
+    found) the cold scan runs and the fallback flag is set.  Without a
+    warm state (the defaults) this is the cold scan.
+
+    Returns (d, s, beta, omega, s_add_used, h, w_achieved, status,
+    fallback, h_evaluations, s_peak); s_peak is -1.0 except after a warm
+    low-power solve.
     """
     if w_ref <= 0.0:
         # zero power: fully shorted secondary
         d, s, beta, h, ok = regulated_point(
             sigma_ref, delta_ref, PI, gain, sigma_reg, delta_reg)
-        return d, s, beta, omega_max, PI, h, 0.0, OK_LOWPOWER
+        return d, s, beta, omega_max, PI, h, 0.0, OK_LOWPOWER, False, 1, \
+            -1.0
 
     d, s, beta, h, ok = regulated_point(
         sigma_ref, delta_ref, s_add_req, gain, sigma_reg, delta_reg)
     if not ok:
-        return d, s, beta, 0.0, s_add_req, h, 0.0, INFEASIBLE
+        return d, s, beta, 0.0, s_add_req, h, 0.0, INFEASIBLE, False, 1, \
+            -1.0
     if h <= 1e-9:
         # collapsed tank current (H is rounding noise): no frequency
         # reaches any positive power
-        return d, s, beta, 0.0, s_add_req, h, 0.0, UNREACHABLE
+        return d, s, beta, 0.0, s_add_req, h, 0.0, UNREACHABLE, False, 1, \
+            -1.0
 
-    z = ratio * h / (2.0 * PI ** 2 * w_ref)
-    omega = omega_from_impedance(z, ind, cap)
+    omega = omega_from_impedance(hz_split(h, w_ref, ratio), ind, cap)
     if omega <= omega_max * (1.0 + 1e-12):
-        return d, s, beta, omega, s_add_req, h, w_ref, OK_ANALYTIC
+        return d, s, beta, omega, s_add_req, h, w_ref, OK_ANALYTIC, False, \
+            1, -1.0
 
-    # low-power branch at fixed omega_max
+    # low-power branch at fixed omega_max; W is linear in H at fixed Z
     z_max = tank_impedance(omega_max, ind, cap)
-    h_target = 2.0 * PI ** 2 * z_max * w_ref / ratio
-
-    hi = PI             # h(pi) = 0 <= h_target
-    lo = -1.0
-    x = PI - SCAN_STEP
-    while x > s_add_req:
-        _d, _s, _b, hx, okx = regulated_point(
-            sigma_ref, delta_ref, x, gain, sigma_reg, delta_reg)
-        if not okx:
-            hx = 0.0
-        if hx > h_target:
-            lo = x
-            break
-        hi = x
-        x -= SCAN_STEP
-    if lo < 0.0:
-        lo = s_add_req      # h(s_add_req) > h_target, established above
-
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        _d, _s, _b, hm, okm = regulated_point(
-            sigma_ref, delta_ref, mid, gain, sigma_reg, delta_reg)
-        if not okm:
-            hm = 0.0
-        if hm > h_target:
-            lo = mid
-        else:
-            hi = mid
-    s_used = 0.5 * (lo + hi)
+    h_target = w_ref / hz_split(1.0, z_max, ratio)
+    a, b, bound, n = -1.0, 4.0, -1.0, 0
+    fallback = False
+    if s_prev >= 0.0:
+        bound, n = _last_peak(sigma_ref, delta_ref, s_add_req, gain,
+                              sigma_reg, delta_reg, s_peak)
+        a, b, m = _warm_bracket(sigma_ref, delta_ref, max(bound, s_add_req),
+                                gain, sigma_reg, delta_reg, h_target, s_prev)
+        n += m
+        if a < 0.0:
+            a, b, fallback = -1.0, 4.0, True
+    s_used, m = _scan_root(sigma_ref, delta_ref, s_add_req, gain, sigma_reg,
+                           delta_reg, h_target, a, b)
     d, s, beta, h, ok = regulated_point(
         sigma_ref, delta_ref, s_used, gain, sigma_reg, delta_reg)
-    w_achieved = ratio * h / (2.0 * PI ** 2 * z_max)
+    w_achieved = hz_split(h, z_max, ratio)
     status = OK_LOWPOWER
     if abs(w_achieved - w_ref) > W_REL_TOL * w_ref:
         status = UNREACHABLE
-    return d, s, beta, omega_max, s_used, h, w_achieved, status
+    return d, s, beta, omega_max, s_used, h, w_achieved, status, fallback, \
+        n + m + 2, bound

@@ -170,16 +170,40 @@ class ScenarioConfig:
 TRACE_COLUMNS = ("t", "G", "I_ref", "I_out", "V_bat", "d", "s", "beta",
                  "omega", "sigma", "delta", "sigma_ref", "delta_ref",
                  "s_add", "W")
+# the columns run_scenario writes; Trace derives the other six
+STORED_COLUMNS = ("I_ref", "V_bat", "d", "s", "beta", "omega", "sigma",
+                  "s_add", "W")
 
 
 @dataclass
 class Trace:
-    """Recorded scenario signals, one entry per control step."""
+    """Recorded scenario signals, one entry per control step.
+
+    data holds the STORED_COLUMNS.  The other columns of TRACE_COLUMNS
+    are exact functions of them and of the run's config and plant beta
+    offset, computed on access in the loop's own operation order, so
+    they are bit-identical to the values the loop used.
+    """
     data: dict[str, np.ndarray]
     steps: int
+    cfg: ScenarioConfig
+    beta_offset: float
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.data[name][: self.steps]
+        if name in self.data:
+            return self.data[name][: self.steps]
+        cfg = self.cfg
+        if name == "t":
+            return np.arange(self.steps) * cfg.dt
+        if name == "G":
+            return cfg.tank.turns_ratio * self["V_bat"] / cfg.v_in
+        if name == "I_out":
+            return self["W"] * cfg.v_in
+        if name == "delta":
+            return (self["beta"] + self.beta_offset) - self["sigma"]
+        if name in ("sigma_ref", "delta_ref"):
+            return np.full(self.steps, getattr(cfg, name))
+        raise KeyError(name)
 
     def column_stack(self) -> np.ndarray:
         return np.column_stack([self[c] for c in TRACE_COLUMNS])
@@ -201,7 +225,8 @@ def run_scenario(cfg: ScenarioConfig,
 
     The scenario traverses low-power buck (during the current ramp),
     regular buck, boost past G = 1 and finally low-power boost as the CV
-    stage tapers the current.
+    stage tapers the current.  Each low-power solve is warm-started
+    from the previous one (PowerSolution.warm, see solve_controls).
 
     Raises:
         ScenarioAbort: when the controller signals unreachable power or
@@ -234,8 +259,10 @@ def run_scenario(cfg: ScenarioConfig,
     noisy = cfg.noise_std_angle > 0 or cfg.noise_std_w > 0
     rng = np.random.default_rng(cfg.seed) if noisy else None
 
-    data = {c: np.empty(n_steps) for c in TRACE_COLUMNS}
-    trace = Trace(data=data, steps=0)
+    data = {c: np.empty(n_steps) for c in STORED_COLUMNS}
+    trace = Trace(data=data, steps=0, cfg=cfg,
+                  beta_offset=uncertainties.beta_offset)
+    warm = None     # low-power solver state, kept across analytic steps
 
     i_ref = 0.0
     slew = cfg.i_ref_slew * dt
@@ -255,7 +282,7 @@ def run_scenario(cfg: ScenarioConfig,
                           w_meas=lag_w.state)
         try:
             solution = parallel_step(io, pi_sigma, pi_delta, gain,
-                                     cfg.tank, pi_w=pi_w)
+                                     cfg.tank, pi_w=pi_w, warm=warm)
             w_true, sigma_true, delta_true = plant_step(
                 solution.params, uncertainties,
                 OperatingPoint(gain=gain, v_in=cfg.v_in), cfg.tank)
@@ -277,11 +304,13 @@ def run_scenario(cfg: ScenarioConfig,
 
         battery = battery_step(battery, i_out, dt, cfg.time_scale)
 
+        if solution.low_power:
+            warm = solution.warm
+
         p = solution.params
-        row = (step * dt, gain, i_ref, i_out, v_bat, p.d, p.s, p.beta,
-               p.omega, sigma_true, delta_true, refs.sigma_ref,
-               refs.delta_ref, solution.s_add, w_true)
-        for name, value in zip(TRACE_COLUMNS, row):
+        row = (i_ref, v_bat, p.d, p.s, p.beta, p.omega, sigma_true,
+               solution.s_add, w_true)
+        for name, value in zip(STORED_COLUMNS, row):
             data[name][step] = value
         trace.steps = step + 1
 

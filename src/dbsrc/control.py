@@ -96,14 +96,16 @@ def series_step(io: ControllerIo, pi_sigma: PiController,
 
 def parallel_step(io: ControllerIo, pi_sigma: PiController,
                   pi_delta: PiController, gain: float, tank: TankConfig,
-                  pi_w: PiController | None = None) -> PowerSolution:
+                  pi_w: PiController | None = None,
+                  warm: tuple[float, float] | None = None) -> PowerSolution:
     """Parallel nonlinear compensation step.
 
     The PI actions are added to the outputs of the combined inversion
     inside solve_controls (sigma action onto q, delta action onto beta,
     in that order), while the frequency and s_add come from the series
     power solve.  An optional series PI on W trims the power request
-    from the W measurement.
+    from the W measurement.  warm is passed on to solve_controls: the
+    previous step's ``PowerSolution.warm``.
 
     Raises:
         InfeasibleReferenceError, UnreachablePowerError: propagated from
@@ -115,4 +117,4 @@ def parallel_step(io: ControllerIo, pi_sigma: PiController,
     if pi_w is not None:
         w_eff = max(io.w_ref + pi_w.step(io.w_ref - io.w_meas), 0.0)
     return solve_controls(io.refs, gain, w_eff, tank,
-                          corrections=(sigma_reg, delta_reg))
+                          corrections=(sigma_reg, delta_reg), warm=warm)

@@ -13,7 +13,7 @@ boundary value s_add0 past which the dimming is monotone.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from . import _kernels as k
 from .errors import (InfeasibleReferenceError, UnreachablePowerError,
@@ -38,12 +38,15 @@ class PowerSolution:
 
     low_power is set when omega was pinned at omega_max and the output
     was dimmed via s_add; achieved_w then carries the scan result,
-    otherwise it equals the request exactly.
+    otherwise it equals the request exactly.  warm is what to pass as
+    ``warm`` to the next solve_controls call: (s_add, s_peak) after a
+    low-power solve, None otherwise.
     """
     params: SwitchingParams
     s_add: float
     achieved_w: float
     low_power: bool
+    warm: Optional[Tuple[float, float]] = None
 
 
 def gain_term_h(refs: ControlReferences, gain: float) -> float:
@@ -75,7 +78,7 @@ def required_impedance(h: float, w_ref: float, turns_ratio: float) -> float:
     if w_ref == 0:
         raise ZeroPowerReferenceError(
             "W* = 0 needs infinite impedance; use the low-power path")
-    return turns_ratio * h / (2.0 * math.pi ** 2 * w_ref)
+    return k.hz_split(h, w_ref, turns_ratio)
 
 
 def frequency_from_impedance(z: float, tank: TankConfig) -> float:
@@ -135,7 +138,8 @@ def s_add_zero_boundary(refs: ControlReferences, gain: float) -> float:
 
 def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
                    tank: TankConfig,
-                   corrections: Tuple[float, float] = (0.0, 0.0)
+                   corrections: Tuple[float, float] = (0.0, 0.0),
+                   warm: Optional[Tuple[float, float]] = None
                    ) -> PowerSolution:
     """Full control solve: references plus power request to
     (d, s, beta, omega, s_add).
@@ -149,6 +153,14 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     target.  W* = 0 maps to a fully shorted secondary (s = pi) rather
     than an error.
 
+    warm, the ``warm`` field of the previous step's solution, starts the
+    low-power search from the previous root: it tracks the last local
+    maximum of H, brackets the crossing right of it and narrows the
+    bracket by regula falsi, which finds the scan's s_add with 9 to 13
+    H evaluations instead of about 240.  When the crossing cannot be
+    certified on that monotone branch the full scan runs instead.
+    Without warm (the default) every low-power solve is the full scan.
+
     Raises:
         InfeasibleReferenceError: references not invertible at this gain.
         UnreachablePowerError: no s_add in [0, pi] meets the request at
@@ -157,10 +169,12 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     if w_ref < 0:
         raise ValueError("W* must be non-negative")
     sigma_reg, delta_reg = corrections
-    d, s, beta, omega, s_used, h, w_got, status = k.solve_controls_scan(
-        refs.sigma_ref, refs.delta_ref, refs.s_add, gain, w_ref,
-        sigma_reg, delta_reg, tank.inductance, tank.capacitance,
-        tank.turns_ratio, tank.omega_max)
+    s_prev, s_peak = (-1.0, -1.0) if warm is None else warm
+    d, s, beta, omega, s_used, h, w_got, status, _fallback, _evals, \
+        s_peak = k.solve_controls_scan(
+            refs.sigma_ref, refs.delta_ref, refs.s_add, gain, w_ref,
+            sigma_reg, delta_reg, tank.inductance, tank.capacitance,
+            tank.turns_ratio, tank.omega_max, s_prev, s_peak)
     if status == k.INFEASIBLE:
         raise InfeasibleReferenceError(
             f"corrected references not invertible at G={gain}")
@@ -173,4 +187,5 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
         s_add=s_used,
         achieved_w=w_got,
         low_power=(status == k.OK_LOWPOWER),
+        warm=(s_used, s_peak) if status == k.OK_LOWPOWER else None,
     )

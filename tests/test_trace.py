@@ -1,0 +1,75 @@
+"""Consistency of the scenario trace: the stored columns reproduce the
+plant outputs, and the derived columns equal the loop's formulas."""
+
+import numpy as np
+import pytest
+
+from dbsrc import (ControllerGains, OperatingPoint, ScenarioAbort,
+                   ScenarioConfig, SwitchingParams, Uncertainties,
+                   plant_step, run_scenario)
+from dbsrc.charger import STORED_COLUMNS, TRACE_COLUMNS
+
+# a fast soft start (low-power, then analytic steps) across G = 1 with
+# noise, under other uncertainties than the study case
+CFG = ScenarioConfig(duration=0.4, initial_charge_ah=14.85, i_ref_slew=100.0,
+                     noise_std_angle=1e-3, seed=5)
+UNC = Uncertainties(beta_offset=0.07, l_scale=1.02)
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return run_scenario(CFG, uncertainties=UNC)
+
+
+def test_only_independent_columns_are_stored(trace):
+    assert set(trace.data) == set(STORED_COLUMNS)
+    assert set(STORED_COLUMNS) < set(TRACE_COLUMNS)
+    assert all(len(trace[c]) == trace.steps for c in TRACE_COLUMNS)
+
+
+def test_plant_reproduces_recorded_outputs(trace):
+    # every row: a wrong operation order in a derived column shows only
+    # in the last bit of about one row in a hundred
+    for i in range(trace.steps):
+        params = SwitchingParams(d=trace["d"][i], s=trace["s"][i],
+                                 beta=trace["beta"][i],
+                                 omega=trace["omega"][i])
+        op = OperatingPoint(gain=trace["G"][i], v_in=CFG.v_in)
+        w, sigma, delta = plant_step(params, UNC, op, CFG.tank)
+        assert (w, sigma, delta) == (trace["W"][i], trace["sigma"][i],
+                                     trace["delta"][i])
+
+
+def test_derived_columns_follow_the_loop_formulas(trace):
+    for i in range(trace.steps):
+        assert trace["t"][i] == i * CFG.dt
+        assert trace["G"][i] == \
+            CFG.tank.turns_ratio * trace["V_bat"][i] / CFG.v_in
+        assert trace["I_out"][i] == trace["W"][i] * CFG.v_in
+        assert trace["sigma_ref"][i] == CFG.sigma_ref
+        assert trace["delta_ref"][i] == CFG.delta_ref
+
+
+def test_two_runs_agree_on_every_column(trace):
+    again = run_scenario(CFG, uncertainties=UNC)
+    assert again.steps == trace.steps
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(again[name], trace[name]), name
+    assert np.array_equal(again.column_stack(), trace.column_stack())
+
+
+def test_unknown_column_raises(trace):
+    with pytest.raises(KeyError):
+        trace["I_in"]
+
+
+def test_abort_trace_stacks_its_steps():
+    cfg = ScenarioConfig(sigma_ref=0.0, duration=1.0, initial_charge_ah=15.0)
+    gains = ControllerGains(sigma_kp=0.0, sigma_ki=0.0, delta_kp=0.0,
+                            delta_ki=0.0, w_kp=0.0, w_ki=0.0)
+    with pytest.raises(ScenarioAbort) as exc_info:
+        run_scenario(cfg, gains)
+    partial = exc_info.value.trace
+    stacked = partial.column_stack()
+    assert stacked.shape == (partial.steps, len(TRACE_COLUMNS))
+    assert partial.steps == exc_info.value.step
