@@ -6,7 +6,6 @@ short-time output power control, PI-compensated controller
 architectures and a quasi-steady-state battery-charger scenario.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .charger import (BatteryState, ControllerGains, ScenarioAbort,
                       ScenarioConfig, SensorLag, Trace, Uncertainties,
                       battery_step, default_tank, plant_step, run_scenario)
@@ -23,11 +22,14 @@ from .model import (AlignmentAngles, HarmonicCoefficients, OperatingPoint,
                     SwitchingParams, TankConfig, alignment_angles,
                     harmonic_coefficients, sync_rect_residual,
                     tank_current_amplitude, tank_impedance, transconductance)
-from .power import (PowerReference, PowerSolution, frequency_from_impedance,
+from .power import (PowerSolution, frequency_from_impedance,
                     fully_driven_frequency, gain_term_h, required_impedance,
                     s_add_zero_boundary, solve_controls)
 
 __version__ = "0.1.0"
+
+# the kernels are plain Python; perfbench/run.py reads this for its context
+NUMBA_ENABLED = False
 
 __all__ = [
     "NUMBA_ENABLED", "__version__",
@@ -41,7 +43,7 @@ __all__ = [
     "try_invert_alignment", "q_combine", "q_split", "q_from_references",
     "fully_driven_maps", "beta_zero_maps", "linearized_inverse",
     # power
-    "PowerReference", "PowerSolution", "gain_term_h", "required_impedance",
+    "PowerSolution", "gain_term_h", "required_impedance",
     "frequency_from_impedance", "fully_driven_frequency",
     "s_add_zero_boundary", "solve_controls",
     # control

@@ -1,9 +1,10 @@
 """Scalar hot kernels for the converter model and its inverse maps.
 
-Everything here is plain float math so that numba can compile it in
-nopython mode.  The closed-loop charger simulation calls these functions
-hundreds of thousands of times (once or more per control step, plus the
-short-time scans), which is where essentially all runtime goes.
+Everything here is plain float math on Python floats, with no objects
+or arrays, to keep the per-call cost low in pure Python.  The
+closed-loop charger simulation calls these functions hundreds of
+thousands of times (once or more per control step, plus the short-time
+scans), which is where essentially all runtime goes.
 
 The low-power solve (solve_controls_scan) dims at omega_max by finding
 the rightmost crossing of the dimming curve H(s_add) with its target.
@@ -16,16 +17,12 @@ Illinois regula falsi narrows the bracket; the scan then evaluates only
 inside it, so the warm root is the cold scan's, bit for bit, after 9 to
 13 evaluations on the charger workloads.  When there is no such bracket
 the cold scan runs and the solve reports a fallback.
-
-Set ``DBSRC_DISABLE_JIT=1`` to skip numba and run the same functions as
-pure Python/numpy scalar code (slower; useful for debugging).
 """
 
 import math
-import os
 
-# pi as module constants: on the pure-Python backend a global load is
-# cheaper than math.pi, which the scan's H evaluations use about ten times
+# pi as module constants: in pure Python a global load is cheaper
+# than math.pi, which the scan's H evaluations use about ten times
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
@@ -55,30 +52,6 @@ INFEASIBLE = 2
 UNREACHABLE = 3
 
 
-def _jit_disabled() -> bool:
-    return os.environ.get("DBSRC_DISABLE_JIT", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-NUMBA_ENABLED = not _jit_disabled()
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dependency
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        """Identity decorator: keeps the pure-Python fallback path."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-        return wrap
-
-
-@njit(cache=True)
 def clamped_acos(x):
     """acos with a small tolerance band around [-1, 1].
 
@@ -97,7 +70,6 @@ def clamped_acos(x):
     return math.acos(x), True
 
 
-@njit(cache=True)
 def harmonic_ab(d, s, beta, gain):
     """First-harmonic coefficients of the bridge voltage difference.
 
@@ -111,13 +83,11 @@ def harmonic_ab(d, s, beta, gain):
     return a, b
 
 
-@njit(cache=True)
 def tank_impedance(omega, ind, cap):
     """Series LC reactance Z = omega*L - 1/(omega*C)."""
     return omega * ind - 1.0 / (omega * cap)
 
 
-@njit(cache=True)
 def omega_from_impedance(z, ind, cap):
     """Above-resonance root of Z(omega) = z.
 
@@ -128,7 +98,6 @@ def omega_from_impedance(z, ind, cap):
         / (2.0 * ind * cap)
 
 
-@njit(cache=True)
 def forward_point(d, s, beta, gain):
     """Alignment angles and harmonic amplitude at one switching point.
 
@@ -144,21 +113,18 @@ def forward_point(d, s, beta, gain):
     return math.sqrt(amp_sq), sigma, beta - sigma, False
 
 
-@njit(cache=True)
 def w_from_amplitude(amp, s, delta, z, ratio):
     """W = n/(2 pi^2) * sqrt(A^2+B^2)/Z * (cos(s+delta) + cos delta)."""
     return ratio / (2.0 * PI ** 2) * amp / z \
         * (math.cos(s + delta) + math.cos(delta))
 
 
-@njit(cache=True)
 def hz_split(h, w_or_z, ratio):
     """The H/Z split W Z = n H / (2 pi^2): Z for W* given, or W for Z
     given."""
     return ratio * h / (2.0 * PI ** 2 * w_or_z)
 
 
-@njit(cache=True)
 def transconductance_point(d, s, beta, omega, gain, ind, cap, ratio):
     """Transconductance W at one switching point (see w_from_amplitude).
 
@@ -174,7 +140,6 @@ def transconductance_point(d, s, beta, omega, gain, ind, cap, ratio):
     return w_from_amplitude(amp, s, delta, z, ratio), True
 
 
-@njit(cache=True)
 def q_reference(sigma_ref, delta_ref, s_add, gain):
     """Combined duty variable q for the references.
 
@@ -201,7 +166,6 @@ def q_reference(sigma_ref, delta_ref, s_add, gain):
     return q, is_boost, False if q < -RANGE_TOL or q > TWO_PI + RANGE_TOL else True
 
 
-@njit(cache=True)
 def invert_exact(sigma_ref, delta_ref, s_add, gain):
     """Closed-form inverse map: references -> commutation parameters.
 
@@ -243,14 +207,13 @@ def invert_exact(sigma_ref, delta_ref, s_add, gain):
     return d, s, beta, s_min, is_boost, feasible
 
 
-@njit(cache=True)
 def h_factor(d, s, beta, sigma_ref, delta_ref, gain):
     """Angle factor H = A * (cos(s + delta*) + cos(delta*)) / cos(sigma*)
     with the factor-4 in-phase coefficient A of harmonic_ab.
 
     A is written out here rather than taken from harmonic_ab because H
     runs for every point of the low-power scan, where each Python call
-    shows: on perfbench's charge-trickle workload (pure-Python backend,
+    shows: on perfbench's charge-trickle workload (pure Python,
     Python 3.11, two shared Xeon vCPUs) a separate A helper called from
     here made the median time_s of four runs 4% longer (2.79 s against
     2.68 s).
@@ -261,7 +224,6 @@ def h_factor(d, s, beta, sigma_ref, delta_ref, gain):
         / math.cos(sigma_ref)
 
 
-@njit(cache=True)
 def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     """One pass of the combined inversion with regulator corrections.
 
@@ -294,7 +256,6 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     return d, s, beta, h, feasible
 
 
-@njit(cache=True)
 def h_exact(sigma_ref, delta_ref, s_add, gain):
     """Angle factor H along the exact inverse map.
 
@@ -307,7 +268,6 @@ def h_exact(sigma_ref, delta_ref, s_add, gain):
     return h_factor(d, s, beta, sigma_ref, delta_ref, gain), True
 
 
-@njit(cache=True)
 def s_add_zero_scan(sigma_ref, delta_ref, gain):
     """Boundary short-time s_add0 past which H decreases monotonically.
 
@@ -342,7 +302,6 @@ def s_add_zero_scan(sigma_ref, delta_ref, gain):
     return 0.5 * (lo + hi), True
 
 
-@njit(cache=True)
 def dimming_h(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     """The dimming curve the low-power solve searches: H of
     regulated_point at s_add, read as 0.0 where the references are
@@ -352,7 +311,6 @@ def dimming_h(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     return h if ok else 0.0
 
 
-@njit(cache=True)
 def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
                h_target, a, b):
     """The scan's crossing of H = h_target on (s_lo, pi]: walk SCAN_GRID
@@ -399,7 +357,6 @@ def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     return 0.5 * (lo + hi), n
 
 
-@njit(cache=True)
 def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
                s_peak):
     """Bound on the last local maximum of H, tracked from the previous
@@ -447,7 +404,6 @@ def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     return bound, n + m
 
 
-@njit(cache=True)
 def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
                   h_target, x0):
     """Bracket [a, b] of H = h_target inside [s_lo, pi] with
@@ -507,7 +463,6 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     return -1.0, 0.0, n
 
 
-@njit(cache=True)
 def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
                         sigma_reg, delta_reg, ind, cap, ratio, omega_max,
                         s_prev=-1.0, s_peak=-1.0):

@@ -51,9 +51,6 @@ class PiController:
         u = self.kp * error + self.integrator
         return min(max(u, self.output_min), self.output_max)
 
-    def reset(self):
-        self.integrator = 0.0
-
 
 @dataclass
 class ControllerIo:

@@ -23,16 +23,6 @@ from .model import SwitchingParams, TankConfig
 
 
 @dataclass(frozen=True)
-class PowerReference:
-    """Desired transconductance W* = I_out* / V_in (ampere/volt)."""
-    w_ref: float
-
-    def __post_init__(self):
-        if self.w_ref < 0:
-            raise ValueError("W* must be non-negative")
-
-
-@dataclass(frozen=True)
 class PowerSolution:
     """Commutation parameters chosen by the power controller.
 
@@ -96,10 +86,10 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
                            tank: TankConfig) -> Tuple[float, float, float]:
     """Combined fully-driven feedforward law (d = pi throughout).
 
-    (beta, s) from fully_driven_maps; then
-    Z = 4 n (cos s + 1) / (pi^2 W*) * sqrt(1 - G cos(beta + s)) and the
-    above-resonance frequency for that Z.  For G <= G* this reduces to
-    W = 8 n / pi^2 * sqrt(1 - G^2) / Z.
+    (beta, s) from fully_driven_maps; then the H/Z split
+    Z = n H / (2 pi^2 W*) with H = 8 (cos s + 1) sqrt(1 - G cos(beta + s))
+    and the above-resonance frequency for that Z.  For G <= G* this
+    reduces to W = 8 n / pi^2 * sqrt(1 - G^2) / Z.
 
     Returns (beta, s, omega).
 
@@ -111,8 +101,8 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
         raise ZeroPowerReferenceError("W* must be positive")
     beta, s = fully_driven_maps(gain, g_star)
     arg = max(1.0 - gain * math.cos(beta + s), 0.0)
-    z = 4.0 * tank.turns_ratio * (math.cos(s) + 1.0) \
-        / (math.pi ** 2 * w_ref) * math.sqrt(arg)
+    z = k.hz_split(8.0 * (math.cos(s) + 1.0) * math.sqrt(arg), w_ref,
+                   tank.turns_ratio)
     return beta, s, frequency_from_impedance(z, tank)
 
 

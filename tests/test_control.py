@@ -4,6 +4,8 @@ compensation around the inversion maps."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbsrc import (ControlReferences, ControllerIo, PiController,
                    TankConfig, invert_alignment, parallel_step, series_step,
@@ -44,6 +46,24 @@ class TestPiController:
                           output_max=1.0)
         assert pi.step(5.0) == 1.0
         assert pi.step(-5.0) == -1.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kp=st.floats(0.0, 100.0), ki=st.floats(0.0, 1e4),
+           dt=st.floats(1e-6, 1.0), lo=st.floats(-10.0, 10.0),
+           width=st.floats(1e-6, 20.0),
+           errors=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=60))
+    def test_bounds_and_anti_windup_property(self, kp, ki, dt, lo, width,
+                                             errors):
+        hi = lo + width
+        pi = PiController(kp=kp, ki=ki, dt=dt, output_min=lo, output_max=hi)
+        for e in errors:
+            before = pi.integrator
+            incr = ki * e * dt
+            u_raw = kp * e + before + incr
+            u = pi.step(e)
+            assert lo <= u <= hi
+            if (u_raw > hi and incr > 0) or (u_raw < lo and incr < 0):
+                assert pi.integrator == before
 
 
 def make_pi_pair(dt=1e-4, kp=0.5, ki=200.0):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbsrc import (ControlReferences, InfeasibleReferenceError, Mode,
                    UndefinedAtUnityGainError, beta_zero_maps,
@@ -204,6 +206,28 @@ class TestQMaps:
                     d, s = q_split(q, 0.0)
                     assert abs(d - res.params.d) < 1e-12
                     assert abs(s - res.params.s) < 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(d=st.floats(0.0, math.pi), s_add=st.floats(0.0, math.pi))
+    def test_q_round_trip_buck_property(self, d, s_add):
+        # buck: s stays at s_add and q carries d
+        q = q_combine(d, s_add, Mode.BUCK, s_add)
+        assert 0.0 <= q <= 2.0 * math.pi
+        d_back, s_back = q_split(q, s_add)
+        assert abs(d_back - d) <= 1e-15
+        assert abs(s_back - s_add) <= 1e-15
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(s=st.floats(0.0, math.pi, exclude_min=True),
+           share=st.floats(0.0, 1.0))
+    def test_q_round_trip_boost_property(self, s, share):
+        # boost: d = pi and s (which includes s_add <= s) is folded into q
+        s_add = share * s
+        q = q_combine(math.pi, s, Mode.BOOST, s_add)
+        assert 0.0 <= q <= 2.0 * math.pi
+        d_back, s_back = q_split(q, s_add)
+        assert abs(d_back - math.pi) <= 1e-15
+        assert abs(s_back - s) <= 1e-15
 
 
 class TestFullyDrivenMaps:
