@@ -31,7 +31,6 @@ ACOS_CLAMP_TOL = 1e-9       # tolerated overshoot of |acos argument| past 1.0
 RANGE_TOL = 1e-9            # tolerated overshoot of d, s past [0, pi]
 A_MIN = -4e-12              # in-phase coefficient A below this is infeasible
 SCAN_STEP = PI / 512        # grid of the short-time scans
-S_ADD0_TOL = 1e-9           # bisection width of the s_add0 boundary
 W_REL_TOL = 0.01            # accepted relative W miss of the low-power scan
 BISECT_TOL = 1e-10          # final bracket width of the low-power solve
 WARM_STEP = 1e-3            # first widening step of a warm bracket
@@ -141,14 +140,21 @@ def transconductance_point(d, s, beta, omega, gain, ind, cap, ratio):
 
 
 def q_reference(sigma_ref, delta_ref, s_add, gain):
-    """Combined duty variable q for the references.
+    """Combined duty variable q for the references, and the d of the
+    exact inverse on the q > pi side.
 
     Buck: q = acos(cos(sigma*) - G cos(delta*) - G cos(delta*+s_add))
     + sigma*; boost: q = 2 pi - acos(cos(delta*) - (2/G) cos(sigma*))
     - delta* + s_add.  Branch selected by the generalized buck test
     2 cos(sigma*) >= G cos(delta* + s_add) + G cos(delta*).
 
-    Returns (q, is_boost, feasible).
+    The boost d keeps the alignment at s = q - pi:
+    d = acos(cos(sigma*) - G cos(delta* + s) - G cos(delta*)) + sigma*,
+    clamped to [0, pi].  Buck points have q <= pi, where the split takes
+    d = q; their d is reported as pi.  feasible also requires the boost
+    d to exist.
+
+    Returns (q, d, is_boost, feasible).
     """
     cs = math.cos(sigma_ref)
     cd = math.cos(delta_ref)
@@ -156,49 +162,52 @@ def q_reference(sigma_ref, delta_ref, s_add, gain):
     if is_boost:
         val, ok = clamped_acos(cd - 2.0 * cs / gain)
         if not ok:
-            return 0.0, True, False
+            return 0.0, PI, True, False
         q = TWO_PI - val - delta_ref + s_add
-    else:
-        val, ok = clamped_acos(cs - gain * cd - gain * math.cos(delta_ref + s_add))
-        if not ok:
-            return 0.0, False, False
-        q = val + sigma_ref
-    return q, is_boost, False if q < -RANGE_TOL or q > TWO_PI + RANGE_TOL else True
+        if s_add == 0.0:
+            # at s = s_min the acos argument is -cos(sigma*) analytically;
+            # evaluating it numerically loses ~sqrt(eps) near the acos
+            # endpoint, so take the exact root directly, which is pi
+            # itself (the paper's d = pi split) for sigma* >= 0
+            d = PI if sigma_ref >= 0.0 else PI + sigma_ref - abs(sigma_ref)
+        else:
+            val, ok = clamped_acos(cs - gain * math.cos(delta_ref + (q - PI))
+                                   - gain * cd)
+            d = val + sigma_ref
+            ok = ok and -RANGE_TOL <= d <= PI + RANGE_TOL
+            d = min(max(d, 0.0), PI)
+        return q, d, True, ok and -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
+    val, ok = clamped_acos(cs - gain * cd - gain * math.cos(delta_ref + s_add))
+    if not ok:
+        return 0.0, PI, False, False
+    q = val + sigma_ref
+    return q, PI, False, -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
+
+
+def split_q(q, d_boost, s_add):
+    """Split the duty variable q into (d, s): (q, s_add) while q <= pi,
+    else (d_boost, q - pi), s_add being folded into q there."""
+    if q <= PI:
+        return q, s_add
+    return d_boost, q - PI
 
 
 def invert_exact(sigma_ref, delta_ref, s_add, gain):
     """Closed-form inverse map: references -> commutation parameters.
 
-    Splits q from q_reference: buck keeps d = q, s = s_add; boost takes
-    s = q - pi, i.e. s_min = acos(2 cos(sigma*)/G - cos(delta*)) - delta*
-    plus s_add, then recomputes d = acos(cos(sigma*) - G cos(delta*+s)
-    - G cos(delta*)) + sigma* so the alignment holds at that s.  The
-    in-phase coefficient A must come out non-negative.  (d, s) are
-    clamped to [0, pi] on every path, feasible or not.
+    Splits q from q_reference with its boost d: buck keeps d = q,
+    s = s_add; boost takes s = q - pi, i.e. s_min = acos(2 cos(sigma*)/G
+    - cos(delta*)) - delta* plus s_add, with the d that keeps the
+    alignment at that s.  The in-phase coefficient A must come out
+    non-negative.  (d, s) are clamped to [0, pi] on every path, feasible
+    or not.
 
     Returns (d, s, beta, s_min, is_boost, feasible).
     """
     beta = sigma_ref + delta_ref
-    q, is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
-    d = q
-    s = s_add
-    s_min = 0.0
-    if is_boost and feasible:
-        s = q - PI
-        s_min = s - s_add
-        if s_add == 0.0:
-            # at s = s_min the acos argument is -cos(sigma*) analytically;
-            # evaluating it numerically loses ~sqrt(eps) near the acos
-            # endpoint, so take the exact root directly
-            d = PI + sigma_ref - abs(sigma_ref)
-        else:
-            val, feasible = clamped_acos(math.cos(sigma_ref)
-                                         - gain * math.cos(delta_ref + s)
-                                         - gain * math.cos(delta_ref))
-            d = val + sigma_ref
-    if d < -RANGE_TOL or d > PI + RANGE_TOL \
-            or s < -RANGE_TOL or s > PI + RANGE_TOL:
-        feasible = False
+    q, d, is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
+    d, s = split_q(q, d, s_add)
+    s_min = s - s_add if is_boost else 0.0
     d = min(max(d, 0.0), PI)
     s = min(max(s, 0.0), PI)
     a, _b = harmonic_ab(d, s, beta, gain)
@@ -227,13 +236,14 @@ def h_factor(d, s, beta, sigma_ref, delta_ref, gain):
 def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     """One pass of the combined inversion with regulator corrections.
 
-    q and beta come from the reference maps; the external controller
-    actions are then added (q += sigma_reg, beta += delta_reg) and q is
-    split into (d, s): d = q, s = s_add while q <= pi, else d = pi,
-    s = q - pi.  Returns (d, s, beta, h, feasible) with h the angle
-    factor of h_factor at that point.
+    q, the boost d and beta come from the reference maps; the external
+    controller actions are then added (q += sigma_reg,
+    beta += delta_reg) and q is split as in invert_exact, which this
+    reproduces at zero corrections wherever that is feasible.  Returns
+    (d, s, beta, h, feasible) with h the angle factor of h_factor at
+    that point.
     """
-    q, _is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
+    q, d, _is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
     beta = sigma_ref + delta_ref + delta_reg
     q = q + sigma_reg
     if q < 0.0:
@@ -244,14 +254,7 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
         beta = -PI
     elif beta > PI:
         beta = PI
-    if q <= PI:
-        d = q
-        s = s_add
-    else:
-        d = PI
-        s = q - PI
-    if s > PI:
-        s = PI
+    d, s = split_q(q, d, s_add)
     h = h_factor(d, s, beta, sigma_ref, delta_ref, gain)
     return d, s, beta, h, feasible
 
@@ -266,40 +269,6 @@ def h_exact(sigma_ref, delta_ref, s_add, gain):
     if not feasible:
         return 0.0, False
     return h_factor(d, s, beta, sigma_ref, delta_ref, gain), True
-
-
-def s_add_zero_scan(sigma_ref, delta_ref, gain):
-    """Boundary short-time s_add0 past which H decreases monotonically.
-
-    Solves H(s_add0) = H(0) along the exact inverse map by locating the
-    last SCAN_STEP grid cell where H still exceeds H(0), then bisecting
-    the down-crossing to S_ADD0_TOL.  s_add0 is 0.0 when H never rises
-    above H(0) (already monotone from the start).
-
-    Returns (s_add0, feasible), feasible being that of the references
-    at s_add = 0.
-    """
-    h0, feasible = h_exact(sigma_ref, delta_ref, 0.0, gain)
-    if h0 <= 0.0:
-        return 0.0, feasible
-    eps = 1e-12 * (1.0 + abs(h0))
-    n = int(math.ceil(PI / SCAN_STEP))
-    last_above = -1
-    for k in range(1, n + 1):
-        x = min(k * SCAN_STEP, PI)
-        if h_exact(sigma_ref, delta_ref, x, gain)[0] > h0 + eps:
-            last_above = k
-    if last_above < 0:
-        return 0.0, True
-    lo = min(last_above * SCAN_STEP, PI)
-    hi = min((last_above + 1) * SCAN_STEP, PI)
-    while hi - lo > S_ADD0_TOL:
-        mid = 0.5 * (lo + hi)
-        if h_exact(sigma_ref, delta_ref, mid, gain)[0] > h0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), True
 
 
 def dimming_h(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
@@ -327,7 +296,7 @@ def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     n = 0
     k = max(1, int((PI - b) / SCAN_STEP))
     hi = SCAN_GRID[k - 1]     # pi or a point >= b: at or below the target
-    lo = s_lo                 # H(s_lo) > h_target, established by the caller
+    lo = s_lo                 # taken as above the target (see s_add_zero_scan)
     x = SCAN_GRID[k]
     while x > s_lo:
         if x < b:
@@ -355,6 +324,26 @@ def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
         else:
             hi = mid
     return 0.5 * (lo + hi), n
+
+
+def s_add_zero_scan(sigma_ref, delta_ref, gain):
+    """Boundary short-time s_add0 past which H decreases monotonically.
+
+    The rightmost crossing of H(s_add0) = H(0) on (0, pi], found by the
+    low-power solve's scan on the dimming curve at zero corrections.
+    s_add0 is 0.0 when H never rises above H(0) (already monotone from
+    the start): the scan then closes in on 0 and a root within
+    BISECT_TOL of it reads as 0.
+
+    Returns (s_add0, feasible), feasible being that of the references
+    at s_add = 0.
+    """
+    h0, feasible = h_exact(sigma_ref, delta_ref, 0.0, gain)
+    if h0 <= 0.0:
+        return 0.0, feasible
+    s_add0, _n = _scan_root(sigma_ref, delta_ref, 0.0, gain, 0.0, 0.0, h0,
+                            -1.0, 4.0)
+    return (s_add0 if s_add0 > BISECT_TOL else 0.0), True
 
 
 def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,

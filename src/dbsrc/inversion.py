@@ -99,7 +99,7 @@ def invert_alignment(refs: ControlReferences, gain: float) -> InversionResult:
     return result
 
 
-def q_combine(d: float, s: float, mode: Mode, s_add: float = 0.0) -> float:
+def q_combine(d: float, s: float, mode: Mode) -> float:
     """Merge (d, s) into the single duty variable q.
 
     Buck: q = d (s stays at s_add); boost: q = s + pi.  Continuous at
@@ -111,16 +111,16 @@ def q_combine(d: float, s: float, mode: Mode, s_add: float = 0.0) -> float:
 
 
 def q_split(q: float, s_add: float) -> Tuple[float, float]:
-    """Split the duty variable back into (d, s).
+    """Split the duty variable back into (d, s) the paper's way.
 
     q <= pi: (d, s) = (q, s_add); q > pi: (d, s) = (pi, q - pi) with
-    s_add already folded into q on the boost side.
+    s_add already folded into q on the boost side.  This d = pi split
+    is lossless at s_add = 0; in boost with s_add > 0 the exact inverse
+    needs another d, which the controller takes from q_reference.
     """
     if not -k.RANGE_TOL <= q <= 2.0 * math.pi + k.RANGE_TOL:
         raise ValueError(f"q out of [0, 2 pi]: {q}")
-    if q <= math.pi:
-        return q, s_add
-    return math.pi, q - math.pi
+    return k.split_q(q, math.pi, s_add)
 
 
 def q_from_references(refs: ControlReferences, gain: float) -> Tuple[float, Mode]:
@@ -131,11 +131,13 @@ def q_from_references(refs: ControlReferences, gain: float) -> Tuple[float, Mode
     q = 2 pi - acos(cos delta* - (2/G) cos sigma*) - delta* + s_add.
 
     Raises:
-        InfeasibleReferenceError: on an acos domain violation.
+        InfeasibleReferenceError: on an acos domain violation, or
+            when a boost point has no d in [0, pi] that keeps the
+            alignment.
     """
     if gain <= 0:
         raise ValueError("gain must be positive")
-    q, is_boost, feasible = k.q_reference(
+    q, _d, is_boost, feasible = k.q_reference(
         refs.sigma_ref, refs.delta_ref, refs.s_add, gain)
     if not feasible:
         raise InfeasibleReferenceError(

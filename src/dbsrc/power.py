@@ -6,9 +6,11 @@ H = A(sigma*, delta*, s_add, G) * (cos(s + delta*) + cos delta*)
 / cos sigma*.  Regular operation solves Z = n H / (2 pi^2 W*) for the
 above-resonance frequency.  When that frequency would exceed omega_max,
 a low-power mode pins omega = omega_max and dims the output by raising
-the additive short-time s_add instead; because W does not decrease
-monotonically in s_add from zero, the controller first jumps to the
-boundary value s_add0 past which the dimming is monotone.
+the additive short-time s_add instead.  W does not decrease
+monotonically in s_add from zero, so the controller takes the rightmost
+crossing of its target, on the branch where H only falls towards pi;
+the boundary s_add0 where that branch starts is only reported
+(s_add_zero_boundary).
 """
 
 import math
@@ -109,9 +111,10 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
 def s_add_zero_boundary(refs: ControlReferences, gain: float) -> float:
     """Short-time boundary s_add0 with H(s_add0) = H(0).
 
-    Found by a pi/512 bracketing scan plus bisection to 1e-9.  Past
-    s_add0 the factor H (hence W at fixed frequency) is non-increasing
-    up to pi.  Returns 0.0 when H never rises above H(0), i.e. the
+    The rightmost crossing of H(0), found by the low-power solve's scan
+    (a pi/512 walk down from pi, then bisection to 1e-10).  Past s_add0
+    the factor H (hence W at fixed frequency) is non-increasing up to
+    pi.  Returns 0.0 when H never rises above H(0), i.e. the
     dimming is already monotone from the start.  refs.s_add is ignored.
 
     Raises:
@@ -137,11 +140,11 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     Walks the combined inversion with the regulator corrections applied
     to q and beta, computes H, the required impedance and frequency; if
     the frequency exceeds omega_max, enters low-power mode: pins
-    omega = omega_max and finds the short-time on the monotone branch of
-    the dimming curve (past s_add0, skipping the non-monotonic region in
-    one discontinuous step) that bisects H to the fixed-frequency
-    target.  W* = 0 maps to a fully shorted secondary (s = pi) rather
-    than an error.
+    omega = omega_max and bisects H to the fixed-frequency target at its
+    rightmost crossing, which lies on the monotone branch of the dimming
+    curve (past s_add0, skipping the non-monotonic region in one
+    discontinuous step).  W* = 0 maps to a fully shorted secondary
+    (s = pi) rather than an error.
 
     warm, the ``warm`` field of the previous step's solution, starts the
     low-power search from the previous root: it tracks the last local

@@ -132,7 +132,7 @@ def test_criterion_6_q_equivalence():
         q, mode = q_from_references(r, gain)
         mode_ok = mode_ok and (mode is res.mode)
         worst_q = max(worst_q, abs(
-            q - q_combine(res.params.d, res.params.s, res.mode, s_add)))
+            q - q_combine(res.params.d, res.params.s, res.mode)))
         # the scalar q encodes (d, s) losslessly on the s_add = 0,
         # sigma* >= 0 subgrid; check the split there
         if s_add == 0.0 and sigma_ref >= 0.0:

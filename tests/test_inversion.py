@@ -186,8 +186,8 @@ class TestQMaps:
                 continue
             q, mode = q_from_references(r, gain)
             assert mode is res.mode
-            assert abs(q - q_combine(res.params.d, res.params.s, res.mode,
-                                     s_add)) < 1e-12
+            assert abs(q - q_combine(res.params.d, res.params.s,
+                                     res.mode)) < 1e-12
             checked += 1
 
     def test_q_split_matches_inverse_map_at_zero_s_add(self):
@@ -211,7 +211,7 @@ class TestQMaps:
     @given(d=st.floats(0.0, math.pi), s_add=st.floats(0.0, math.pi))
     def test_q_round_trip_buck_property(self, d, s_add):
         # buck: s stays at s_add and q carries d
-        q = q_combine(d, s_add, Mode.BUCK, s_add)
+        q = q_combine(d, s_add, Mode.BUCK)
         assert 0.0 <= q <= 2.0 * math.pi
         d_back, s_back = q_split(q, s_add)
         assert abs(d_back - d) <= 1e-15
@@ -223,11 +223,28 @@ class TestQMaps:
     def test_q_round_trip_boost_property(self, s, share):
         # boost: d = pi and s (which includes s_add <= s) is folded into q
         s_add = share * s
-        q = q_combine(math.pi, s, Mode.BOOST, s_add)
+        q = q_combine(math.pi, s, Mode.BOOST)
         assert 0.0 <= q <= 2.0 * math.pi
         d_back, s_back = q_split(q, s_add)
         assert abs(d_back - math.pi) <= 1e-15
         assert abs(s_back - s) <= 1e-15
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(sigma_ref=st.floats(-math.pi / 2, math.pi / 2),
+           delta_ref=st.floats(-math.pi / 2, math.pi / 2),
+           s_add=st.floats(0.0, math.pi), gain=st.floats(0.05, 3.0))
+    def test_regulated_point_is_the_exact_inverse_property(
+            self, sigma_ref, delta_ref, s_add, gain):
+        # the controller's q split at zero corrections is the exact
+        # inverse, and so dims along the same H
+        d, s, beta, _s_min, _boost, ok = k.invert_exact(
+            sigma_ref, delta_ref, s_add, gain)
+        if not ok:
+            return
+        point = k.regulated_point(sigma_ref, delta_ref, s_add, gain, 0.0, 0.0)
+        assert point[:3] == (d, s, beta)
+        assert k.dimming_h(sigma_ref, delta_ref, s_add, gain, 0.0, 0.0) \
+            == k.h_exact(sigma_ref, delta_ref, s_add, gain)[0]
 
 
 class TestFullyDrivenMaps:

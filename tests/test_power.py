@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbsrc import (ControlReferences, InfeasibleReferenceError,
                    SwitchingParams, TankConfig, UnreachablePowerError,
@@ -185,6 +187,26 @@ class TestSolveControls:
             if previous is not None:
                 assert sol.s_add > previous
             previous = sol.s_add
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(sigma_ref=st.floats(-0.5, 0.5), delta_ref=st.floats(-0.5, 0.5),
+           s_add=st.floats(0.0, 1.5), gain=st.floats(0.25, 2.0),
+           w_ref=st.floats(1e-4, 0.05))
+    def test_solution_delivers_its_achieved_w_property(
+            self, sigma_ref, delta_ref, s_add, gain, w_ref):
+        # the forward model at the chosen parameters gives what the solve
+        # reports, on both branches and with s_add > 0 in boost
+        try:
+            sol = solve_controls(refs(sigma_ref, delta_ref, s_add), gain,
+                                 w_ref, TANK)
+        except (InfeasibleReferenceError, UnreachablePowerError):
+            return
+        _amp, sigma, _delta, degenerate = k.forward_point(
+            sol.params.d, sol.params.s, sol.params.beta, gain)
+        assert not degenerate
+        assert abs(sigma - sigma_ref) <= 1e-9
+        w = transconductance(sol.params, gain, TANK)
+        assert abs(w - sol.achieved_w) <= 1e-9 * sol.achieved_w
 
 
 class TestDomains:
