@@ -192,58 +192,27 @@ def split_q(q, d_boost, s_add):
     return d_boost, q - PI
 
 
-def invert_exact(sigma_ref, delta_ref, s_add, gain):
-    """Closed-form inverse map: references -> commutation parameters.
+def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
+    """The inverse map: references and regulator corrections ->
+    commutation parameters, feasibility and the angle factor H.
 
-    Splits q from q_reference with its boost d: buck keeps d = q,
-    s = s_add; boost takes s = q - pi, i.e. s_min = acos(2 cos(sigma*)/G
-    - cos(delta*)) - delta* plus s_add, with the d that keeps the
-    alignment at that s.  The in-phase coefficient A must come out
-    non-negative.  (d, s) are clamped to [0, pi] on every path, feasible
-    or not.
-
-    Returns (d, s, beta, s_min, is_boost, feasible).
-    """
-    beta = sigma_ref + delta_ref
-    q, d, is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
-    d, s = split_q(q, d, s_add)
-    s_min = s - s_add if is_boost else 0.0
-    d = min(max(d, 0.0), PI)
-    s = min(max(s, 0.0), PI)
-    a, _b = harmonic_ab(d, s, beta, gain)
-    if a < A_MIN:
-        feasible = False
-    return d, s, beta, s_min, is_boost, feasible
-
-
-def h_factor(d, s, beta, sigma_ref, delta_ref, gain):
-    """Angle factor H = A * (cos(s + delta*) + cos(delta*)) / cos(sigma*)
-    with the factor-4 in-phase coefficient A of harmonic_ab.
+    q, the boost d and beta come from q_reference; the external
+    controller actions are added (q += sigma_reg, beta += delta_reg),
+    q is clamped to [0, 2 pi] and beta to [-pi, pi], and split_q splits
+    q into (d, s).  The point is feasible when the references are and
+    the in-phase coefficient A of harmonic_ab is at least A_MIN there.
+    H = A * (cos(s + delta*) + cos(delta*)) / cos(sigma*), and 0.0
+    wherever the point is infeasible.
 
     A is written out here rather than taken from harmonic_ab because H
     runs for every point of the low-power scan, where each Python call
     shows: on perfbench's charge-trickle workload (pure Python,
-    Python 3.11, two shared Xeon vCPUs) a separate A helper called from
-    here made the median time_s of four runs 4% longer (2.79 s against
-    2.68 s).
+    Python 3.11, two shared Xeon vCPUs) a separate A helper made the
+    median time_s of four runs 4% longer (2.79 s against 2.68 s).
+
+    Returns (d, s, beta, h, feasible, is_boost).
     """
-    a = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
-        + 4.0 * gain * math.sin(beta)
-    return a * (math.cos(s + delta_ref) + math.cos(delta_ref)) \
-        / math.cos(sigma_ref)
-
-
-def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
-    """One pass of the combined inversion with regulator corrections.
-
-    q, the boost d and beta come from the reference maps; the external
-    controller actions are then added (q += sigma_reg,
-    beta += delta_reg) and q is split as in invert_exact, which this
-    reproduces at zero corrections wherever that is feasible.  Returns
-    (d, s, beta, h, feasible) with h the angle factor of h_factor at
-    that point.
-    """
-    q, d, _is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
+    q, d, is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
     beta = sigma_ref + delta_ref + delta_reg
     q = q + sigma_reg
     if q < 0.0:
@@ -255,29 +224,27 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     elif beta > PI:
         beta = PI
     d, s = split_q(q, d, s_add)
-    h = h_factor(d, s, beta, sigma_ref, delta_ref, gain)
-    return d, s, beta, h, feasible
+    a = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
+        + 4.0 * gain * math.sin(beta)
+    if a < A_MIN or not feasible:
+        return d, s, beta, 0.0, False, is_boost
+    return d, s, beta, a * (math.cos(s + delta_ref) + math.cos(delta_ref)) \
+        / math.cos(sigma_ref), True, is_boost
 
 
-def h_exact(sigma_ref, delta_ref, s_add, gain):
-    """Angle factor H along the exact inverse map.
+def invert_exact(sigma_ref, delta_ref, s_add, gain):
+    """Closed-form inverse map: regulated_point at zero corrections.
 
-    Returns (h, feasible); h is 0.0 where the references are infeasible.
+    Buck keeps d = q, s = s_add; boost takes s = q - pi, i.e. s_min =
+    acos(2 cos(sigma*)/G - cos(delta*)) - delta* plus s_add, with the d
+    that keeps the alignment at that s.  (d, s) lie in [0, pi] on every
+    path, feasible or not.
+
+    Returns (d, s, beta, s_min, is_boost, feasible).
     """
-    d, s, beta, _s_min, _is_boost, feasible = invert_exact(
-        sigma_ref, delta_ref, s_add, gain)
-    if not feasible:
-        return 0.0, False
-    return h_factor(d, s, beta, sigma_ref, delta_ref, gain), True
-
-
-def dimming_h(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
-    """The dimming curve the low-power solve searches: H of
-    regulated_point at s_add, read as 0.0 where the references are
-    infeasible."""
-    _d, _s, _b, h, ok = regulated_point(
-        sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg)
-    return h if ok else 0.0
+    d, s, beta, _h, feasible, is_boost = regulated_point(
+        sigma_ref, delta_ref, s_add, gain, 0.0, 0.0)
+    return d, s, beta, (s - s_add if is_boost else 0.0), is_boost, feasible
 
 
 def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
@@ -304,8 +271,8 @@ def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
                 lo = x
                 break
             n += 1
-            if dimming_h(sigma_ref, delta_ref, x, gain, sigma_reg,
-                         delta_reg) > h_target:
+            if regulated_point(sigma_ref, delta_ref, x, gain, sigma_reg,
+                               delta_reg)[3] > h_target:
                 lo = x
                 break
         hi = x
@@ -315,8 +282,8 @@ def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
         mid = 0.5 * (lo + hi)
         if a < mid < b:
             n += 1
-            above = dimming_h(sigma_ref, delta_ref, mid, gain, sigma_reg,
-                              delta_reg) > h_target
+            above = regulated_point(sigma_ref, delta_ref, mid, gain,
+                                    sigma_reg, delta_reg)[3] > h_target
         else:
             above = mid <= a
         if above:
@@ -338,7 +305,8 @@ def s_add_zero_scan(sigma_ref, delta_ref, gain):
     Returns (s_add0, feasible), feasible being that of the references
     at s_add = 0.
     """
-    h0, feasible = h_exact(sigma_ref, delta_ref, 0.0, gain)
+    _d, _s, _b, h0, feasible, _boost = regulated_point(
+        sigma_ref, delta_ref, 0.0, gain, 0.0, 0.0)
     if h0 <= 0.0:
         return 0.0, feasible
     s_add0, _n = _scan_root(sigma_ref, delta_ref, 0.0, gain, 0.0, 0.0, h0,
@@ -365,26 +333,26 @@ def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     else:
         k = int(round((PI - s_peak) / SCAN_STEP)) + 1
         k, moves = min(max(k, 1), len(SCAN_GRID) - 2), PEAK_MOVES
-    hx = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k], gain, sigma_reg,
-                   delta_reg)
-    hl = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k + 1], gain, sigma_reg,
-                   delta_reg)
-    hr = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k - 1], gain, sigma_reg,
-                   delta_reg)
+    hx = regulated_point(sigma_ref, delta_ref, SCAN_GRID[k], gain,
+                         sigma_reg, delta_reg)[3]
+    hl = regulated_point(sigma_ref, delta_ref, SCAN_GRID[k + 1], gain,
+                         sigma_reg, delta_reg)[3]
+    hr = regulated_point(sigma_ref, delta_ref, SCAN_GRID[k - 1], gain,
+                         sigma_reg, delta_reg)[3]
     n = 3
     for _ in range(moves):
         if hl >= hx and SCAN_GRID[k + 1] > s_lo:
             k += 1
             hr, hx = hx, hl
-            hl = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k + 1], gain,
-                           sigma_reg, delta_reg)
+            hl = regulated_point(sigma_ref, delta_ref, SCAN_GRID[k + 1],
+                                 gain, sigma_reg, delta_reg)[3]
         elif hr > hx:
             if k == 1:
                 return PI, n      # H rises into pi
             k -= 1
             hl, hx = hx, hr
-            hr = dimming_h(sigma_ref, delta_ref, SCAN_GRID[k - 1], gain,
-                           sigma_reg, delta_reg)
+            hr = regulated_point(sigma_ref, delta_ref, SCAN_GRID[k - 1],
+                                 gain, sigma_reg, delta_reg)[3]
         else:
             return SCAN_GRID[k - 1], n
         n += 1
@@ -404,8 +372,8 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     bracket or the narrowing does not converge.
     """
     x = min(max(x0, s_lo), PI)
-    fx = dimming_h(sigma_ref, delta_ref, x, gain, sigma_reg, delta_reg) \
-        - h_target
+    fx = regulated_point(sigma_ref, delta_ref, x, gain, sigma_reg,
+                         delta_reg)[3] - h_target
     n = 1
     step = WARM_STEP
     a, fa, b, fb = x, fx, x, fx
@@ -415,8 +383,8 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
                 return -1.0, 0.0, n
             a, fa = b, fb
             b = min(b + step, PI)
-            fb = dimming_h(sigma_ref, delta_ref, b, gain, sigma_reg,
-                           delta_reg) - h_target
+            fb = regulated_point(sigma_ref, delta_ref, b, gain, sigma_reg,
+                                 delta_reg)[3] - h_target
             n += 1
             step *= 2.0
     else:
@@ -425,8 +393,8 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
                 return -1.0, 0.0, n
             b, fb = a, fa
             a = max(a - step, s_lo)
-            fa = dimming_h(sigma_ref, delta_ref, a, gain, sigma_reg,
-                           delta_reg) - h_target
+            fa = regulated_point(sigma_ref, delta_ref, a, gain, sigma_reg,
+                                 delta_reg)[3] - h_target
             n += 1
             step *= 2.0
     side = 0
@@ -436,8 +404,8 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
         x = (a * fb - b * fa) / (fb - fa)
         # strictly inside, so that rounding cannot stall it on an end
         x = min(max(x, a + 0.25 * BISECT_TOL), b - 0.25 * BISECT_TOL)
-        fx = dimming_h(sigma_ref, delta_ref, x, gain, sigma_reg,
-                       delta_reg) - h_target
+        fx = regulated_point(sigma_ref, delta_ref, x, gain, sigma_reg,
+                             delta_reg)[3] - h_target
         n += 1
         if fx > 0.0:
             a, fa = x, fx
@@ -484,12 +452,12 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     """
     if w_ref <= 0.0:
         # zero power: fully shorted secondary
-        d, s, beta, h, ok = regulated_point(
+        d, s, beta, h, _ok, _boost = regulated_point(
             sigma_ref, delta_ref, PI, gain, sigma_reg, delta_reg)
         return d, s, beta, omega_max, PI, h, 0.0, OK_LOWPOWER, False, 1, \
             -1.0
 
-    d, s, beta, h, ok = regulated_point(
+    d, s, beta, h, ok, _boost = regulated_point(
         sigma_ref, delta_ref, s_add_req, gain, sigma_reg, delta_reg)
     if not ok:
         return d, s, beta, 0.0, s_add_req, h, 0.0, INFEASIBLE, False, 1, \
@@ -520,7 +488,7 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
             a, b, fallback = -1.0, 4.0, True
     s_used, m = _scan_root(sigma_ref, delta_ref, s_add_req, gain, sigma_reg,
                            delta_reg, h_target, a, b)
-    d, s, beta, h, ok = regulated_point(
+    d, s, beta, h, _ok, _boost = regulated_point(
         sigma_ref, delta_ref, s_used, gain, sigma_reg, delta_reg)
     w_achieved = hz_split(h, z_max, ratio)
     status = OK_LOWPOWER

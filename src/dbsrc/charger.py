@@ -98,22 +98,29 @@ def plant_step(p: SwitchingParams, u: Uncertainties, op: OperatingPoint,
 class SensorLag:
     """Discrete first-order measurement filter with unit DC gain."""
 
-    def __init__(self, tau: float, dt: float, initial: float = 0.0):
+    def __init__(self, tau: float, dt: float):
         if tau < 0 or dt <= 0:
             raise ValueError("need tau >= 0 and dt > 0")
         self.alpha = 1.0 if tau == 0 else 1.0 - math.exp(-dt / tau)
-        self.state = initial
+        self.state = 0.0
 
     def step(self, value: float) -> float:
         self.state += self.alpha * (value - self.state)
         return self.state
 
 
+# angle corrections saturate at +-0.5 rad to keep the inversion inputs
+# inside the reference domain
+ANGLE_CORR_LIMIT = 0.5
+# near G = cos(sigma*) the beta-offset uncertainty roughly halves the
+# plant amplitude, so the W correction needs headroom of order W* itself
+W_CORR_LIMIT = 0.25
+
+
 @dataclass(frozen=True)
 class ControllerGains:
     """Loop gains; defaults settle the study-case scenario well inside
-    its duration.  Angle corrections saturate at +-0.5 rad to keep the
-    inversion inputs inside the reference domain."""
+    its duration."""
     sigma_kp: float = 0.5
     sigma_ki: float = 200.0
     delta_kp: float = 0.5
@@ -122,10 +129,6 @@ class ControllerGains:
     w_ki: float = 5000.0
     volt_kp: float = 25.0
     volt_ki: float = 40.0
-    angle_corr_limit: float = 0.5
-    # near G = cos(sigma*) the beta-offset uncertainty roughly halves the
-    # plant amplitude, so the W correction needs headroom of order W* itself
-    w_corr_limit: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -242,11 +245,11 @@ def run_scenario(cfg: ScenarioConfig,
     refs = ControlReferences(sigma_ref=cfg.sigma_ref,
                              delta_ref=cfg.delta_ref, s_add=0.0)
 
-    lim = gains.angle_corr_limit
+    lim = ANGLE_CORR_LIMIT
     pi_sigma = PiController(gains.sigma_kp, gains.sigma_ki, dt, -lim, lim)
     pi_delta = PiController(gains.delta_kp, gains.delta_ki, dt, -lim, lim)
     pi_w = PiController(gains.w_kp, gains.w_ki, dt,
-                        -gains.w_corr_limit, gains.w_corr_limit)
+                        -W_CORR_LIMIT, W_CORR_LIMIT)
     pi_volt = PiController(gains.volt_kp, gains.volt_ki, dt, 0.0, cfg.i_cc)
 
     battery = BatteryState(capacity_ah=cfg.capacity_ah,

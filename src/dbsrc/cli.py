@@ -245,22 +245,22 @@ def cmd_lowpower(values: Dict[str, str], out: str | None) -> int:
     n = int(math.ceil(math.pi / step))
     rows = []
     for gain in gains:
-        h0, ok0 = k.h_exact(sigma_ref, delta_ref, 0.0, gain)
-        if not ok0 or h0 <= 0:
+        h0 = k.regulated_point(sigma_ref, delta_ref, 0.0, gain, 0.0, 0.0)[3]
+        if h0 <= 0:
             raise ConfigError(f"references infeasible at G={gain}")
         s_add0 = s_add_zero_boundary(refs, gain)
         for i in range(n + 1):
             s_add = min(i * step, math.pi)
-            h, ok = k.h_exact(sigma_ref, delta_ref, s_add, gain)
+            _d, _s, _b, h, ok, _boost = k.regulated_point(
+                sigma_ref, delta_ref, s_add, gain, 0.0, 0.0)
             rows.append((gain, s_add, h / h0 if ok else math.nan, s_add0))
     write_csv(out, ("G", "s_add", "W_over_W0", "s_add_0"), rows)
     return EXIT_OK
 
 
 _TANK = default_tank()
-# the tank has keys of its own (L, C, n, f_max); the angle and W
-# correction limits are library-only
-_LIBRARY_ONLY = ("tank", "angle_corr_limit", "w_corr_limit")
+# the tank has keys of its own (L, C, n, f_max)
+_LIBRARY_ONLY = ("tank",)
 _CHARGE_CLASSES = (ScenarioConfig, Uncertainties, ControllerGains)
 
 CHARGE_DEFAULTS: Dict[str, object] = {

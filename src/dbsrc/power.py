@@ -3,7 +3,10 @@
 The transconductance splits into an angle-dependent factor H and the
 frequency-dependent tank reactance: W = n/(2 pi^2) * H / Z(omega), with
 H = A(sigma*, delta*, s_add, G) * (cos(s + delta*) + cos delta*)
-/ cos sigma*.  Regular operation solves Z = n H / (2 pi^2 W*) for the
+/ cos sigma*.  H and feasibility both come from the one inverse,
+_kernels.regulated_point: a point is feasible only where the inverse
+exists and the in-phase coefficient A is non-negative, and H reads 0
+elsewhere.  Regular operation solves Z = n H / (2 pi^2 W*) for the
 above-resonance frequency.  When that frequency would exceed omega_max,
 a low-power mode pins omega = omega_max and dims the output by raising
 the additive short-time s_add instead.  W does not decrease
@@ -52,7 +55,8 @@ def gain_term_h(refs: ControlReferences, gain: float) -> float:
         raise ValueError("cos(sigma*) too small for the H split")
     if gain <= 0:
         raise ValueError("gain must be positive")
-    h, feasible = k.h_exact(refs.sigma_ref, refs.delta_ref, refs.s_add, gain)
+    _d, _s, _beta, h, feasible, _boost = k.regulated_point(
+        refs.sigma_ref, refs.delta_ref, refs.s_add, gain, 0.0, 0.0)
     if not feasible:
         raise InfeasibleReferenceError(
             f"references not invertible at G={gain}")

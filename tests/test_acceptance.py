@@ -162,16 +162,18 @@ def test_criterion_8_low_power_law():
     ok = True
     details = []
     for gain in (0.7, 1.0, 1.3):
-        h0 = k.h_exact(sigma_ref, delta_ref, 0.0, gain)[0]
-        h_pi = k.h_exact(sigma_ref, delta_ref, math.pi, gain)[0]
+        h0 = k.regulated_point(sigma_ref, delta_ref, 0.0, gain, 0.0, 0.0)[3]
+        h_pi = k.regulated_point(sigma_ref, delta_ref, math.pi, gain,
+                                 0.0, 0.0)[3]
         ok = ok and abs(h0 / h0 - 1.0) == 0.0 and abs(h_pi / h0) < 1e-12
         s0 = s_add_zero_boundary(refs(sigma_ref, delta_ref), gain)
         grid = np.arange(0.0, s0, math.pi / 256)
-        if any(k.h_exact(sigma_ref, delta_ref, x, gain)[0] > h0 * (1 + 1e-9)
-               for x in grid):
+        if any(k.regulated_point(sigma_ref, delta_ref, x, gain, 0.0, 0.0)[3]
+               > h0 * (1 + 1e-9) for x in grid):
             non_monotone_seen = True
         tail = np.arange(s0, math.pi, math.pi / 256)
-        hs = [k.h_exact(sigma_ref, delta_ref, x, gain)[0] for x in tail]
+        hs = [k.regulated_point(sigma_ref, delta_ref, x, gain, 0.0, 0.0)[3]
+              for x in tail]
         decreasing = all(b <= a + 1e-9 for a, b in zip(hs, hs[1:]))
         ok = ok and decreasing
         details.append(f"G={gain}: s_add0={s0:.3f} monotone_tail={decreasing}")

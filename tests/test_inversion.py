@@ -243,8 +243,6 @@ class TestQMaps:
             return
         point = k.regulated_point(sigma_ref, delta_ref, s_add, gain, 0.0, 0.0)
         assert point[:3] == (d, s, beta)
-        assert k.dimming_h(sigma_ref, delta_ref, s_add, gain, 0.0, 0.0) \
-            == k.h_exact(sigma_ref, delta_ref, s_add, gain)[0]
 
 
 class TestFullyDrivenMaps:

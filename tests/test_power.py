@@ -5,16 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbsrc import (ControlReferences, InfeasibleReferenceError,
                    SwitchingParams, TankConfig, UnreachablePowerError,
-                   ZeroPowerReferenceError,
+                   ZeroPowerReferenceError, default_tank,
                    frequency_from_impedance, fully_driven_frequency,
                    gain_term_h, invert_alignment, required_impedance,
                    s_add_zero_boundary, solve_controls, tank_impedance,
-                   transconductance)
+                   transconductance, try_invert_alignment)
 from dbsrc import _kernels as k
 
 TANK = TankConfig(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
@@ -117,7 +117,7 @@ class TestSAddZeroBoundary:
         h0 = gain_term_h(r, 0.7)
         s0 = s_add_zero_boundary(r, 0.7)
         assert s0 > 0
-        h_at = k.h_exact(0.1, 0.0, s0, 0.7)[0]
+        h_at = k.regulated_point(0.1, 0.0, s0, 0.7, 0.0, 0.0)[3]
         assert h_at == pytest.approx(h0, rel=1e-6)
 
     def test_monotone_case_returns_zero(self):
@@ -126,14 +126,15 @@ class TestSAddZeroBoundary:
     def test_full_short_kills_power(self):
         # H(pi) = 0 regardless of gain: cos(pi+delta*) + cos(delta*) = 0
         for gain in (0.5, 0.7, 1.0, 1.3, 2.0):
-            assert k.h_exact(0.1, 0.0, math.pi, gain)[0] == \
-                pytest.approx(0.0, abs=1e-12)
+            assert k.regulated_point(0.1, 0.0, math.pi, gain, 0.0, 0.0)[3] \
+                == pytest.approx(0.0, abs=1e-12)
 
     def test_h_non_increasing_past_boundary(self):
         for gain in (0.7, 1.0, 1.3):
             s0 = s_add_zero_boundary(refs(0.1, 0.0), gain)
             grid = np.arange(s0, math.pi, math.pi / 256)
-            hs = [k.h_exact(0.1, 0.0, x, gain)[0] for x in grid]
+            hs = [k.regulated_point(0.1, 0.0, x, gain, 0.0, 0.0)[3]
+                  for x in grid]
             for a, b in zip(hs, hs[1:]):
                 assert b <= a + 1e-9
 
@@ -207,6 +208,36 @@ class TestSolveControls:
         assert abs(sigma - sigma_ref) <= 1e-9
         w = transconductance(sol.params, gain, TANK)
         assert abs(w - sol.achieved_w) <= 1e-9 * sol.achieved_w
+
+
+class TestFeasibilityContract:
+    """solve_controls and the inverse map decide feasibility alike."""
+
+    def test_negative_a_references_are_infeasible(self):
+        # the inverse rejects these because A < 0 at its point
+        r = refs(-0.318, -0.499, 0.208)
+        assert not try_invert_alignment(r, 0.787).feasible
+        with pytest.raises(InfeasibleReferenceError):
+            solve_controls(r, 0.787, 0.01, default_tank())
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(sigma_ref=st.floats(-0.5, 0.5), delta_ref=st.floats(-0.5, 0.5),
+           s_add=st.floats(0.0, 1.5), gain=st.floats(0.25, 2.0),
+           w_ref=st.floats(1e-4, 0.05))
+    @example(sigma_ref=-0.318, delta_ref=-0.499, s_add=0.208, gain=0.787,
+             w_ref=0.01)
+    def test_infeasible_exactly_when_the_inverse_is_property(
+            self, sigma_ref, delta_ref, s_add, gain, w_ref):
+        r = refs(sigma_ref, delta_ref, s_add)
+        feasible = try_invert_alignment(r, gain).feasible
+        try:
+            solve_controls(r, gain, w_ref, default_tank())
+            raised = False
+        except UnreachablePowerError:
+            raised = False
+        except InfeasibleReferenceError:
+            raised = True
+        assert raised == (not feasible)
 
 
 class TestDomains:

@@ -30,7 +30,8 @@ def lowpower_states(draw):
     gain = draw(st.floats(0.5, 1.5))
     sigma_reg = draw(st.floats(-0.2, 0.2))
     delta_reg = draw(st.floats(-0.2, 0.2))
-    h0 = k.dimming_h(sigma_ref, delta_ref, 0.0, gain, sigma_reg, delta_reg)
+    h0 = k.regulated_point(sigma_ref, delta_ref, 0.0, gain, sigma_reg,
+                           delta_reg)[3]
     assume(h0 > 1e-6)
     w_ref = k.hz_split(h0, Z_MAX, TANK.turns_ratio) \
         * draw(st.floats(0.02, 0.98))
@@ -75,8 +76,9 @@ def test_dimming_curve_is_non_increasing_right_of_the_peak_bound(args):
     bound = k.solve_controls_scan(*args, 1.0, -1.0)[10]
     assume(bound >= 0.0)
     xs = np.linspace(bound, math.pi, 1500)
-    h = np.maximum([k.dimming_h(sigma_ref, delta_ref, x, gain, sigma_reg,
-                                delta_reg) for x in xs], 0.0)
+    h = np.maximum([k.regulated_point(sigma_ref, delta_ref, x, gain,
+                                      sigma_reg, delta_reg)[3] for x in xs],
+                   0.0)
     assert np.all(np.diff(h) <= 1e-12 * max(1.0, h.max()))
 
 
