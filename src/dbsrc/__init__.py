@@ -6,10 +6,10 @@ short-time output power control, PI-compensated controller
 architectures and a quasi-steady-state battery-charger scenario.
 """
 
-from .charger import (BatteryState, ControllerGains, ScenarioAbort,
-                      ScenarioConfig, SensorLag, Trace, Uncertainties,
-                      battery_step, default_tank, plant_step, run_scenario)
-from .control import ControllerIo, PiController, parallel_step, series_step
+from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig,
+                      SensorLag, Trace, Uncertainties, battery_step,
+                      default_tank, pack_voltage, plant_step, run_scenario)
+from .control import PiController, parallel_step, series_step
 from .errors import (BelowResonanceError, DbsrcError,
                      DegenerateTankCurrentError, InfeasibleReferenceError,
                      UndefinedAtUnityGainError, UnreachablePowerError,
@@ -18,10 +18,10 @@ from .inversion import (ControlReferences, InversionResult, Mode,
                         beta_zero_maps, fully_driven_maps, invert_alignment,
                         linearized_inverse, q_combine, q_from_references,
                         q_split, try_invert_alignment)
-from .model import (AlignmentAngles, HarmonicCoefficients, OperatingPoint,
-                    SwitchingParams, TankConfig, alignment_angles,
-                    harmonic_coefficients, sync_rect_residual,
-                    tank_current_amplitude, tank_impedance, transconductance)
+from .model import (AlignmentAngles, HarmonicCoefficients, SwitchingParams,
+                    TankConfig, alignment_angles, harmonic_coefficients,
+                    sync_rect_residual, tank_current_amplitude,
+                    tank_impedance, transconductance)
 from .power import (PowerSolution, frequency_from_impedance,
                     fully_driven_frequency, gain_term_h, required_impedance,
                     s_add_zero_boundary, solve_controls)
@@ -34,7 +34,7 @@ NUMBA_ENABLED = False
 __all__ = [
     "NUMBA_ENABLED", "__version__",
     # model
-    "TankConfig", "SwitchingParams", "AlignmentAngles", "OperatingPoint",
+    "TankConfig", "SwitchingParams", "AlignmentAngles",
     "HarmonicCoefficients", "harmonic_coefficients", "alignment_angles",
     "tank_impedance", "transconductance", "tank_current_amplitude",
     "sync_rect_residual",
@@ -47,10 +47,10 @@ __all__ = [
     "frequency_from_impedance", "fully_driven_frequency",
     "s_add_zero_boundary", "solve_controls",
     # control
-    "PiController", "ControllerIo", "series_step", "parallel_step",
+    "PiController", "series_step", "parallel_step",
     # charger
-    "BatteryState", "Uncertainties", "SensorLag", "ScenarioConfig",
-    "ControllerGains", "Trace", "ScenarioAbort", "battery_step",
+    "Uncertainties", "SensorLag", "ScenarioConfig", "ControllerGains",
+    "Trace", "ScenarioAbort", "battery_step", "pack_voltage",
     "plant_step", "run_scenario", "default_tank",
     # errors
     "DbsrcError", "DegenerateTankCurrentError", "BelowResonanceError",

@@ -10,12 +10,13 @@ The low-power solve (solve_controls_scan) dims at omega_max by finding
 the rightmost crossing of the dimming curve H(s_add) with its target.
 Cold, it walks the SCAN_STEP grid down from pi and bisects the crossing
 cell: about 240 H evaluations.  Warm, it starts from the previous
-step's root and the previous bound on the last local maximum of H:
-the bound is re-tracked along the grid, the crossing is bracketed on
-[bound, pi], where H is non-increasing and the crossing unique, and
-Illinois regula falsi narrows the bracket; the scan then evaluates only
-inside it, so the warm root is the cold scan's, bit for bit, after 9 to
-13 evaluations on the charger workloads.  When there is no such bracket
+step's root and the previous bound on the last local maximum of
+max(H, 0): the bound is re-tracked along the grid, the crossing is
+bracketed on [bound, pi], where max(H, 0) is non-increasing and the
+crossing of the positive target unique, and Illinois regula falsi
+narrows the bracket; the scan then evaluates only inside it, so the
+warm root is the cold scan's, bit for bit, after 9 to 13 evaluations
+on the charger workloads.  When there is no such bracket
 the cold scan runs and the solve reports a fallback.
 """
 
@@ -316,11 +317,13 @@ def s_add_zero_scan(sigma_ref, delta_ref, gain):
 
 def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
                s_peak):
-    """Bound on the last local maximum of H, tracked from the previous
-    bound s_peak: climb along SCAN_GRID to a point that neither grid
-    neighbour exceeds (ties go left, towards s_lo).  The maximum lies
-    within one grid step of that point, so the bound is the next grid
-    point to the right, and H is non-increasing from it to pi.
+    """Bound on the last local maximum of max(H, 0), tracked from the
+    previous bound s_peak: climb along SCAN_GRID to a point that neither
+    grid neighbour exceeds (ties go left, towards s_lo).  The maximum
+    lies within one grid step of that point, so the bound is the next
+    grid point to the right, and max(H, 0) is non-increasing from it to
+    pi.  (For delta* > 0, H itself is negative just left of pi and
+    rises to 0 at pi.)
 
     The climb starts next to s_peak and may take PEAK_MOVES steps; when
     s_peak is unknown (negative) or the maximum has moved farther, it
@@ -340,13 +343,15 @@ def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     hr = regulated_point(sigma_ref, delta_ref, SCAN_GRID[k - 1], gain,
                          sigma_reg, delta_reg)[3]
     n = 3
+    # the comparisons are those of max(H, 0), written out so that no
+    # evaluation pays for a max() call
     for _ in range(moves):
-        if hl >= hx and SCAN_GRID[k + 1] > s_lo:
+        if (hl >= hx or hx <= 0.0) and SCAN_GRID[k + 1] > s_lo:
             k += 1
             hr, hx = hx, hl
             hl = regulated_point(sigma_ref, delta_ref, SCAN_GRID[k + 1],
                                  gain, sigma_reg, delta_reg)[3]
-        elif hr > hx:
+        elif hr > hx and hr > 0.0:
             if k == 1:
                 return PI, n      # H rises into pi
             k -= 1
@@ -437,11 +442,12 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     unreachable.
 
     Warm start: s_prev >= 0 is the previous low-power root and s_peak
-    the previous bound on the last local maximum of H (negative: not
-    known yet).  The bound is tracked from s_peak, the crossing is
-    bracketed from s_prev on [bound, pi], where H is non-increasing and
-    the crossing unique, and the scan then evaluates only inside that
-    bracket, which gives the cold scan's s_add bit for bit.  Without a
+    the previous bound on the last local maximum of max(H, 0)
+    (negative: not known yet).  The bound is tracked from s_peak, the
+    crossing is bracketed from s_prev on [bound, pi], where max(H, 0) is
+    non-increasing and the crossing of the positive target unique, and
+    the scan then evaluates only inside that bracket, which gives the
+    cold scan's s_add bit for bit.  Without a
     bracket there (the crossing moved left of the hump, or none was
     found) the cold scan runs and the fallback flag is set.  Without a
     warm state (the defaults) this is the cold scan.

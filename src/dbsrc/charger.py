@@ -15,16 +15,16 @@ and the whole run is deterministic for a given config and seed.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels as k
-from .control import ControllerIo, PiController, parallel_step
+from .control import PiController, parallel_step
 from .errors import (BelowResonanceError, DbsrcError,
                      DegenerateTankCurrentError)
 from .inversion import ControlReferences
-from .model import OperatingPoint, SwitchingParams, TankConfig
+from .model import SwitchingParams, TankConfig
 
 
 def default_tank() -> TankConfig:
@@ -36,35 +36,6 @@ def default_tank() -> TankConfig:
                       omega_max=2 * math.pi * 165e3)
 
 
-@dataclass
-class BatteryState:
-    """Coulomb-counting pack model with a linear Ah-to-voltage map."""
-    capacity_ah: float = 30.0
-    charge_ah: float = 0.0
-    v_empty: float = 240.0
-    v_full: float = 400.0
-
-    @property
-    def voltage(self) -> float:
-        frac = min(max(self.charge_ah / self.capacity_ah, 0.0), 1.0)
-        return self.v_empty + (self.v_full - self.v_empty) * frac
-
-
-def battery_step(b: BatteryState, i_out: float, dt: float,
-                 time_scale: float = 1.0) -> BatteryState:
-    """Integrate the output current into the pack charge.
-
-    time_scale compresses physical charging time into scenario time
-    (one scenario second integrates time_scale physical seconds); the
-    charge is clamped at capacity.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    charge = b.charge_ah + i_out * dt * time_scale / 3600.0
-    charge = min(max(charge, 0.0), b.capacity_ah)
-    return replace(b, charge_ah=charge)
-
-
 @dataclass(frozen=True)
 class Uncertainties:
     """Plant-side model errors, invisible to the controller: a constant
@@ -73,9 +44,10 @@ class Uncertainties:
     l_scale: float = 1.05
 
 
-def plant_step(p: SwitchingParams, u: Uncertainties, op: OperatingPoint,
+def plant_step(p: SwitchingParams, u: Uncertainties, gain: float,
                tank: TankConfig) -> tuple[float, float, float]:
-    """True converter outputs (W, sigma, delta) before sensor lag.
+    """True converter outputs (W, sigma, delta) at gain G, before sensor
+    lag.
 
     Evaluates the steady-state model with beta replaced by
     beta + beta_offset and L by L * l_scale.
@@ -88,7 +60,7 @@ def plant_step(p: SwitchingParams, u: Uncertainties, op: OperatingPoint,
         raise BelowResonanceError(
             f"plant sees Z({p.omega}) <= 0 with scaled inductance")
     beta = p.beta + u.beta_offset
-    amp, sigma, delta, degenerate = k.forward_point(p.d, p.s, beta, op.gain)
+    amp, sigma, delta, degenerate = k.forward_point(p.d, p.s, beta, gain)
     if degenerate:
         raise DegenerateTankCurrentError("plant tank current collapsed")
     return k.w_from_amplitude(amp, p.s, delta, z, tank.turns_ratio), \
@@ -168,6 +140,26 @@ class ScenarioConfig:
             raise ValueError("i_ref_slew must be positive")
         if self.sensor_tau < 0:
             raise ValueError("sensor_tau must be non-negative")
+
+
+def pack_voltage(charge_ah: float, cfg: ScenarioConfig) -> float:
+    """Pack voltage of the linear Ah-to-voltage map from v_empty to
+    v_full over capacity_ah."""
+    frac = min(max(charge_ah / cfg.capacity_ah, 0.0), 1.0)
+    return cfg.v_empty + (cfg.v_full - cfg.v_empty) * frac
+
+
+def battery_step(charge_ah: float, i_out: float,
+                 cfg: ScenarioConfig) -> float:
+    """Coulomb counting: the pack charge after one control step dt of
+    output current i_out.
+
+    time_scale compresses physical charging time into scenario time
+    (one scenario second integrates time_scale physical seconds); the
+    charge is clamped to [0, capacity_ah].
+    """
+    charge = charge_ah + i_out * cfg.dt * cfg.time_scale / 3600.0
+    return min(max(charge, 0.0), cfg.capacity_ah)
 
 
 TRACE_COLUMNS = ("t", "G", "I_ref", "I_out", "V_bat", "d", "s", "beta",
@@ -252,9 +244,7 @@ def run_scenario(cfg: ScenarioConfig,
                         -W_CORR_LIMIT, W_CORR_LIMIT)
     pi_volt = PiController(gains.volt_kp, gains.volt_ki, dt, 0.0, cfg.i_cc)
 
-    battery = BatteryState(capacity_ah=cfg.capacity_ah,
-                           charge_ah=cfg.initial_charge_ah,
-                           v_empty=cfg.v_empty, v_full=cfg.v_full)
+    charge = cfg.initial_charge_ah
     lag_w = SensorLag(cfg.sensor_tau, dt)
     lag_sigma = SensorLag(cfg.sensor_tau, dt)
     lag_delta = SensorLag(cfg.sensor_tau, dt)
@@ -270,7 +260,7 @@ def run_scenario(cfg: ScenarioConfig,
     i_ref = 0.0
     slew = cfg.i_ref_slew * dt
     for step in range(n_steps):
-        v_bat = battery.voltage
+        v_bat = pack_voltage(charge, cfg)
         gain = cfg.tank.turns_ratio * v_bat / cfg.v_in
 
         # outer CC/CV stage: voltage PI saturated at the CC setpoint,
@@ -279,16 +269,13 @@ def run_scenario(cfg: ScenarioConfig,
         i_ref += min(max(i_cmd - i_ref, -slew), slew)
         w_ref = i_ref / cfg.v_in
 
-        io = ControllerIo(refs=refs, w_ref=w_ref,
-                          sigma_meas=lag_sigma.state,
-                          delta_meas=lag_delta.state,
-                          w_meas=lag_w.state)
         try:
-            solution = parallel_step(io, pi_sigma, pi_delta, gain,
-                                     cfg.tank, pi_w=pi_w, warm=warm)
+            solution = parallel_step(refs, w_ref, lag_sigma.state,
+                                     lag_delta.state, lag_w.state, pi_sigma,
+                                     pi_delta, pi_w, gain, cfg.tank,
+                                     warm=warm)
             w_true, sigma_true, delta_true = plant_step(
-                solution.params, uncertainties,
-                OperatingPoint(gain=gain, v_in=cfg.v_in), cfg.tank)
+                solution.params, uncertainties, gain, cfg.tank)
         except DbsrcError as exc:
             raise ScenarioAbort(
                 f"scenario aborted at step {step} (t={step * dt:.6f} s): "
@@ -305,7 +292,7 @@ def run_scenario(cfg: ScenarioConfig,
         lag_sigma.step(sigma_m)
         lag_delta.step(delta_m)
 
-        battery = battery_step(battery, i_out, dt, cfg.time_scale)
+        charge = battery_step(charge, i_out, cfg)
 
         if solution.low_power:
             warm = solution.warm

@@ -16,8 +16,10 @@ import sys
 from dataclasses import fields
 from typing import Callable, Dict, List, Sequence
 
+import numpy as np
+
 from . import _kernels as k
-from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig, Trace,
+from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig,
                       TRACE_COLUMNS, default_tank, run_scenario,
                       Uncertainties)
 from .inversion import ControlReferences
@@ -33,22 +35,13 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def write_csv(path: str | None, header: Sequence[str],
-              rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+              rows: Sequence[Sequence] | np.ndarray) -> None:
+    """Write rows as CSV under a header line, each value as %.17g;
+    path None or "-" writes to standard output."""
+    np.savetxt(sys.stdout if path is None or path == "-" else path, rows,
+               fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="")
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -279,11 +272,6 @@ def _from_schema(cls, cfg: Schema, **given):
                            if f.name in CHARGE_DEFAULTS})
 
 
-def _trace_rows(trace: Trace, decimate: int):
-    matrix = trace.column_stack()
-    return [tuple(matrix[i]) for i in range(0, matrix.shape[0], decimate)]
-
-
 def cmd_charge(values: Dict[str, str], out: str | None) -> int:
     cfg = Schema(values, CHARGE_DEFAULTS)
     decimate = cfg.get("decimate")
@@ -304,10 +292,10 @@ def cmd_charge(values: Dict[str, str], out: str | None) -> int:
     try:
         trace = run_scenario(scenario, gains, uncertainties)
     except ScenarioAbort as exc:
-        write_csv(out, TRACE_COLUMNS, _trace_rows(exc.trace, decimate))
+        write_csv(out, TRACE_COLUMNS, exc.trace.column_stack()[::decimate])
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    write_csv(out, TRACE_COLUMNS, _trace_rows(trace, decimate))
+    write_csv(out, TRACE_COLUMNS, trace.column_stack()[::decimate])
     return EXIT_OK
 
 

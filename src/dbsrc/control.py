@@ -10,7 +10,6 @@ the frequency (and s_add) inside solve_controls.
 """
 
 import math
-from dataclasses import dataclass
 
 from .inversion import ControlReferences, invert_alignment
 from .model import SwitchingParams, TankConfig
@@ -52,22 +51,12 @@ class PiController:
         return min(max(u, self.output_min), self.output_max)
 
 
-@dataclass
-class ControllerIo:
-    """Inputs of one controller step: references plus the (filtered)
-    measurements of the alignment angles and the transconductance."""
-    refs: ControlReferences
-    w_ref: float = 0.0
-    sigma_meas: float = 0.0
-    delta_meas: float = 0.0
-    w_meas: float = 0.0
-
-
 def _clamp_ref(x: float) -> float:
     return min(max(x, -REF_LIMIT), REF_LIMIT)
 
 
-def series_step(io: ControllerIo, pi_sigma: PiController,
+def series_step(refs: ControlReferences, sigma_meas: float,
+                delta_meas: float, pi_sigma: PiController,
                 pi_delta: PiController, gain: float) -> SwitchingParams:
     """Series nonlinear compensation step.
 
@@ -80,9 +69,8 @@ def series_step(io: ControllerIo, pi_sigma: PiController,
         InfeasibleReferenceError: if the clamped effective references
             are still not invertible at this gain.
     """
-    refs = io.refs
-    corr_sigma = pi_sigma.step(refs.sigma_ref - io.sigma_meas)
-    corr_delta = pi_delta.step(refs.delta_ref - io.delta_meas)
+    corr_sigma = pi_sigma.step(refs.sigma_ref - sigma_meas)
+    corr_delta = pi_delta.step(refs.delta_ref - delta_meas)
     effective = ControlReferences(
         sigma_ref=_clamp_ref(refs.sigma_ref + corr_sigma),
         delta_ref=_clamp_ref(refs.delta_ref + corr_delta),
@@ -91,27 +79,27 @@ def series_step(io: ControllerIo, pi_sigma: PiController,
     return invert_alignment(effective, gain).params
 
 
-def parallel_step(io: ControllerIo, pi_sigma: PiController,
-                  pi_delta: PiController, gain: float, tank: TankConfig,
-                  pi_w: PiController | None = None,
+def parallel_step(refs: ControlReferences, w_ref: float, sigma_meas: float,
+                  delta_meas: float, w_meas: float, pi_sigma: PiController,
+                  pi_delta: PiController, pi_w: PiController, gain: float,
+                  tank: TankConfig,
                   warm: tuple[float, float] | None = None) -> PowerSolution:
     """Parallel nonlinear compensation step.
 
     The PI actions are added to the outputs of the combined inversion
     inside solve_controls (sigma action onto q, delta action onto beta,
     in that order), while the frequency and s_add come from the series
-    power solve.  An optional series PI on W trims the power request
-    from the W measurement.  warm is passed on to solve_controls: the
-    previous step's ``PowerSolution.warm``.
+    power solve.  A series PI on W trims the power request from the W
+    measurement (PiController(0.0, 0.0, dt) leaves W* >= 0 as it is).
+    warm is passed on to solve_controls: the previous step's
+    ``PowerSolution.warm``.
 
     Raises:
         InfeasibleReferenceError, UnreachablePowerError: propagated from
             solve_controls.
     """
-    sigma_reg = pi_sigma.step(io.refs.sigma_ref - io.sigma_meas)
-    delta_reg = pi_delta.step(io.refs.delta_ref - io.delta_meas)
-    w_eff = io.w_ref
-    if pi_w is not None:
-        w_eff = max(io.w_ref + pi_w.step(io.w_ref - io.w_meas), 0.0)
-    return solve_controls(io.refs, gain, w_eff, tank,
+    sigma_reg = pi_sigma.step(refs.sigma_ref - sigma_meas)
+    delta_reg = pi_delta.step(refs.delta_ref - delta_meas)
+    w_eff = max(w_ref + pi_w.step(w_ref - w_meas), 0.0)
+    return solve_controls(refs, gain, w_eff, tank,
                           corrections=(sigma_reg, delta_reg), warm=warm)

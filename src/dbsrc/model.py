@@ -91,20 +91,6 @@ class AlignmentAngles:
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    """Exogenous state seen by the controller: gain G = n V_out / V_in
-    and the input DC voltage."""
-    gain: float
-    v_in: float
-
-    def __post_init__(self):
-        if self.gain < 0:
-            raise ValueError("gain must be non-negative")
-        if self.v_in <= 0:
-            raise ValueError("V_in must be positive")
-
-
-@dataclass(frozen=True)
 class HarmonicCoefficients:
     """First-harmonic coefficients (A, B) of the voltage applied to the
     tank, in the factor-4 normalization."""
@@ -169,25 +155,31 @@ def transconductance(p: SwitchingParams, gain: float, tank: TankConfig) -> float
     return w
 
 
-def tank_current_amplitude(p: SwitchingParams, op: OperatingPoint,
+def tank_current_amplitude(p: SwitchingParams, gain: float, v_in: float,
                            tank: TankConfig) -> float:
-    """Tank current amplitude I_t = V_in sqrt(A^2+B^2) / (2 pi Z).
+    """Tank current amplitude I_t = V_in sqrt(A^2+B^2) / (2 pi Z) at
+    gain G = n V_out / V_in and input voltage V_in.
 
     Returns exactly 0 at the collapse point.
 
     Raises:
         BelowResonanceError: if Z(omega) <= 0.
+        ValueError: for G < 0 or V_in <= 0.
     """
+    if gain < 0:
+        raise ValueError("gain must be non-negative")
+    if v_in <= 0:
+        raise ValueError("V_in must be positive")
     if p.omega is None:
         raise ValueError("SwitchingParams.omega must be set")
     z = tank_impedance(p.omega, tank)
     if z <= 0:
         raise BelowResonanceError(
             f"Z({p.omega}) <= 0: operation below resonance is rejected")
-    c = harmonic_coefficients(p, op.gain)
+    c = harmonic_coefficients(p, gain)
     if c.degenerate:
         return 0.0
-    return op.v_in * math.sqrt(c.amplitude_sq) / (2.0 * math.pi * z)
+    return v_in * math.sqrt(c.amplitude_sq) / (2.0 * math.pi * z)
 
 
 def sync_rect_residual(p: SwitchingParams, gain: float) -> float:

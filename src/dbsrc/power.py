@@ -152,10 +152,11 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
 
     warm, the ``warm`` field of the previous step's solution, starts the
     low-power search from the previous root: it tracks the last local
-    maximum of H, brackets the crossing right of it and narrows the
-    bracket by regula falsi, which finds the scan's s_add with 9 to 13
-    H evaluations instead of about 240.  When the crossing cannot be
-    certified on that monotone branch the full scan runs instead.
+    maximum of max(H, 0), right of which max(H, 0) is non-increasing,
+    brackets the crossing there and narrows the bracket by regula
+    falsi, which finds the scan's s_add with 9 to 13 H evaluations
+    instead of about 240.  When the crossing cannot be certified on
+    that monotone branch the full scan runs instead.
     Without warm (the default) every low-power solve is the full scan.
 
     Raises:

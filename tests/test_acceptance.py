@@ -13,8 +13,7 @@ from dbsrc import (ControlReferences, PiController, ScenarioConfig,
                    q_combine, q_from_references, q_split, run_scenario,
                    s_add_zero_boundary, solve_controls,
                    tank_current_amplitude, tank_impedance, transconductance,
-                   try_invert_alignment, OperatingPoint,
-                   frequency_from_impedance)
+                   try_invert_alignment, frequency_from_impedance)
 from dbsrc import _kernels as k
 
 TANK = TankConfig(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
@@ -92,8 +91,7 @@ def test_criterion_4_collapse_point():
     res = invert_alignment(refs(0.0, 0.0), 1.0)
     p = SwitchingParams(d=res.params.d, s=res.params.s, beta=res.params.beta,
                         omega=2 * math.pi * 120e3)
-    i_t = tank_current_amplitude(p, OperatingPoint(gain=1.0, v_in=600.0),
-                                 TANK)
+    i_t = tank_current_amplitude(p, 1.0, 600.0, TANK)
     w = transconductance(p, 1.0, TANK)
     ok = (res.params.d == math.pi and res.params.s == 0.0
           and res.params.beta == 0.0 and i_t == 0.0 and w == 0.0)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbsrc import (ControlReferences, ControllerIo, PiController,
-                   TankConfig, invert_alignment, parallel_step, series_step,
+from dbsrc import (ControlReferences, PiController, TankConfig,
+                   invert_alignment, parallel_step, series_step,
                    solve_controls, transconductance)
 from dbsrc import _kernels as k
 
@@ -76,8 +76,7 @@ class TestSeriesStep:
     def test_disabled_pi_equals_pure_inversion(self):
         pi_s = PiController(0.0, 0.0, 1e-4)
         pi_d = PiController(0.0, 0.0, 1e-4)
-        io = ControllerIo(refs=refs(0.2, 0.1), sigma_meas=0.0, delta_meas=0.0)
-        p = series_step(io, pi_s, pi_d, 0.8)
+        p = series_step(refs(0.2, 0.1), 0.0, 0.0, pi_s, pi_d, 0.8)
         expected = invert_alignment(refs(0.2, 0.1), 0.8).params
         assert p == expected
 
@@ -85,9 +84,8 @@ class TestSeriesStep:
         # measurements equal to the references: PI outputs stay zero and
         # the output is the pure feedforward
         pi_s, pi_d = make_pi_pair()
-        io = ControllerIo(refs=refs(0.2, 0.1), sigma_meas=0.2, delta_meas=0.1)
         for _ in range(10):
-            p = series_step(io, pi_s, pi_d, 0.8)
+            p = series_step(refs(0.2, 0.1), 0.2, 0.1, pi_s, pi_d, 0.8)
         assert pi_s.integrator == 0.0
         assert pi_d.integrator == 0.0
         assert p == invert_alignment(refs(0.2, 0.1), 0.8).params
@@ -101,8 +99,7 @@ class TestSeriesStep:
         sigma_m = delta_m = 0.0
         err = None
         for _ in range(4000):
-            io = ControllerIo(refs=r, sigma_meas=sigma_m, delta_meas=delta_m)
-            p = series_step(io, pi_s, pi_d, gain)
+            p = series_step(r, sigma_m, delta_m, pi_s, pi_d, gain)
             _amp, sigma, delta, _deg = k.forward_point(p.d, p.s, p.beta, gain)
             sigma_m, delta_m = sigma + 0.05, delta
             err = r.sigma_ref - sigma_m
@@ -113,8 +110,9 @@ class TestParallelStep:
     def test_zero_corrections_equal_solve_controls(self):
         pi_s = PiController(0.0, 0.0, 1e-4)
         pi_d = PiController(0.0, 0.0, 1e-4)
-        io = ControllerIo(refs=refs(), w_ref=0.02)
-        sol = parallel_step(io, pi_s, pi_d, 0.7, TANK)
+        pi_w = PiController(0.0, 0.0, 1e-4)
+        sol = parallel_step(refs(), 0.02, 0.0, 0.0, 0.0, pi_s, pi_d, pi_w,
+                            0.7, TANK)
         direct = solve_controls(refs(), 0.7, 0.02, TANK)
         assert sol == direct
 
@@ -124,14 +122,14 @@ class TestParallelStep:
         dt = 1e-4
         pi_s = PiController(0.5, 200.0, dt, -0.5, 0.5)
         pi_d = PiController(0.5, 200.0, dt, -0.5, 0.5)
+        pi_w = PiController(0.0, 0.0, dt)
         gain = 0.7
         r = refs(0.1, 0.0)
         w_ref = 0.02
         sigma_m = delta_m = 0.0
         for _ in range(5000):
-            io = ControllerIo(refs=r, w_ref=w_ref, sigma_meas=sigma_m,
-                              delta_meas=delta_m)
-            sol = parallel_step(io, pi_s, pi_d, gain, TANK)
+            sol = parallel_step(r, w_ref, sigma_m, delta_m, 0.0, pi_s, pi_d,
+                                pi_w, gain, TANK)
             p = sol.params
             _amp, sigma_m, delta_m, _deg = k.forward_point(
                 p.d, p.s, p.beta - 0.1, gain)
@@ -156,9 +154,8 @@ class TestParallelStep:
         sigma_m = delta_m = w_m = 0.0
         alpha = 1.0 - math.exp(-dt / 5e-4)  # sensor lag, as in the charger
         for _ in range(5000):
-            io = ControllerIo(refs=r, w_ref=w_ref, sigma_meas=sigma_m,
-                              delta_meas=delta_m, w_meas=w_m)
-            sol = parallel_step(io, pi_s, pi_d, gain, TANK, pi_w=pi_w)
+            sol = parallel_step(r, w_ref, sigma_m, delta_m, w_m, pi_s, pi_d,
+                                pi_w, gain, TANK)
             w_true = transconductance(sol.params, gain, plant_tank)
             _amp, sigma_t, delta_t, _deg = k.forward_point(
                 sol.params.d, sol.params.s, sol.params.beta, gain)
@@ -173,12 +170,13 @@ class TestParallelStep:
         dt = 1e-4
         pi_s = PiController(0.5, 200.0, dt, -0.5, 0.5)
         pi_d = PiController(0.5, 200.0, dt, -0.5, 0.5)
+        pi_w = PiController(0.0, 0.0, dt)
         r = refs(0.1, 0.0)
         for _ in range(2000):
-            io = ControllerIo(refs=r, w_ref=0.02,
-                              sigma_meas=0.1 + rng.uniform(-0.3, 0.3),
-                              delta_meas=rng.uniform(-0.3, 0.3))
-            sol = parallel_step(io, pi_s, pi_d, 0.9, TANK)
+            sigma_m = 0.1 + rng.uniform(-0.3, 0.3)
+            delta_m = rng.uniform(-0.3, 0.3)
+            sol = parallel_step(r, 0.02, sigma_m, delta_m, 0.0, pi_s, pi_d,
+                                pi_w, 0.9, TANK)
             p = sol.params
             assert 0.0 <= p.d <= math.pi
             assert 0.0 <= p.s <= math.pi

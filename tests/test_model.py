@@ -7,10 +7,9 @@ import pytest
 
 from dbsrc import (AlignmentAngles, BelowResonanceError,
                    DegenerateTankCurrentError, HarmonicCoefficients,
-                   OperatingPoint, SwitchingParams, TankConfig,
-                   alignment_angles, harmonic_coefficients,
-                   sync_rect_residual, tank_current_amplitude,
-                   tank_impedance, transconductance)
+                   SwitchingParams, TankConfig, alignment_angles,
+                   harmonic_coefficients, sync_rect_residual,
+                   tank_current_amplitude, tank_impedance, transconductance)
 from dbsrc.model import DEGENERATE_AMP_SQ
 
 TANK = TankConfig(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
@@ -118,17 +117,21 @@ class TestTransconductance:
 class TestTankCurrentAmplitude:
     def test_collapse_is_exactly_zero(self):
         p = params(math.pi, 0.0, 0.0, omega=2 * math.pi * 120e3)
-        op = OperatingPoint(gain=1.0, v_in=600.0)
-        assert tank_current_amplitude(p, op, TANK) == 0.0
+        assert tank_current_amplitude(p, 1.0, 600.0, TANK) == 0.0
+
+    @pytest.mark.parametrize("gain, v_in", [(-0.1, 600.0), (0.5, 0.0)])
+    def test_bad_operating_point_rejected(self, gain, v_in):
+        p = params(math.pi / 2, 0.0, 0.0, omega=2 * math.pi * 120e3)
+        with pytest.raises(ValueError):
+            tank_current_amplitude(p, gain, v_in, TANK)
 
     def test_hand_arithmetic(self):
         # amplitude 4 at 600 V with Z = 100 ohm: 600*4/(2 pi 100)
         from dbsrc import frequency_from_impedance
         omega = frequency_from_impedance(100.0, TANK)
         p = params(math.pi / 2, 0.0, 0.0, omega=omega)
-        op = OperatingPoint(gain=0.5, v_in=600.0)
         expected = 600.0 * 4.0 / (2 * math.pi * 100.0)
-        assert tank_current_amplitude(p, op, TANK) == pytest.approx(
+        assert tank_current_amplitude(p, 0.5, 600.0, TANK) == pytest.approx(
             expected, rel=1e-9)
         assert expected == pytest.approx(3.8197, abs=1e-4)
 
@@ -155,7 +158,7 @@ class TestTankCurrentAmplitude:
             if abs(denom) < 1e-3:
                 continue
             w = transconductance(p, gain, tank)
-            it = tank_current_amplitude(p, OperatingPoint(gain, op_v), tank)
+            it = tank_current_amplitude(p, gain, op_v, tank)
             lhs = it / (w * op_v)
             rhs = (math.pi / tank.turns_ratio) / denom
             assert lhs == pytest.approx(rhs, rel=1e-9)

@@ -4,9 +4,8 @@ plant outputs, and the derived columns equal the loop's formulas."""
 import numpy as np
 import pytest
 
-from dbsrc import (ControllerGains, OperatingPoint, ScenarioAbort,
-                   ScenarioConfig, SwitchingParams, Uncertainties,
-                   plant_step, run_scenario)
+from dbsrc import (ControllerGains, ScenarioAbort, ScenarioConfig,
+                   SwitchingParams, Uncertainties, plant_step, run_scenario)
 from dbsrc.charger import STORED_COLUMNS, TRACE_COLUMNS
 
 # a fast soft start (low-power, then analytic steps) across G = 1 with
@@ -34,8 +33,7 @@ def test_plant_reproduces_recorded_outputs(trace):
         params = SwitchingParams(d=trace["d"][i], s=trace["s"][i],
                                  beta=trace["beta"][i],
                                  omega=trace["omega"][i])
-        op = OperatingPoint(gain=trace["G"][i], v_in=CFG.v_in)
-        w, sigma, delta = plant_step(params, UNC, op, CFG.tank)
+        w, sigma, delta = plant_step(params, UNC, trace["G"][i], CFG.tank)
         assert (w, sigma, delta) == (trace["W"][i], trace["sigma"][i],
                                      trace["delta"][i])
 

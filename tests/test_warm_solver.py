@@ -92,6 +92,7 @@ def test_no_warm_state_is_the_cold_scan():
 
 
 PARALLEL_STEP = dbsrc.charger.parallel_step
+SOLVE_CONTROLS_SCAN = k.solve_controls_scan
 
 
 def cold_parallel_step(*args, warm=None, **kwargs):
@@ -106,9 +107,20 @@ def cold_parallel_step(*args, warm=None, **kwargs):
     ScenarioConfig(i_cc=2.0, i_ref_slew=1e6, initial_charge_ah=14.98,
                    time_scale=3000.0, duration=0.1, noise_std_angle=1e-3,
                    noise_std_w=1e-5, seed=3),
+    # delta* > 0: H is negative just left of pi, where the hump is tracked
+    ScenarioConfig(duration=0.3, delta_ref=0.05),
 ])
 def test_warm_scenario_equals_cold_scenario(cfg, monkeypatch):
+    fallbacks = []
+
+    def scan(*args):
+        out = SOLVE_CONTROLS_SCAN(*args)
+        fallbacks.append(out[8])
+        return out
+
+    monkeypatch.setattr(k, "solve_controls_scan", scan)
     warm = run_scenario(cfg)
+    assert sum(fallbacks) == 0
     monkeypatch.setattr(dbsrc.charger, "parallel_step", cold_parallel_step)
     cold = run_scenario(cfg)
     assert np.mean(cold["s_add"] > 0) > 0.9
