@@ -157,9 +157,9 @@ def q_reference(sigma_ref, delta_ref, s_add, gain):
 
     Returns (q, d, is_boost, feasible).
     """
-    cs = math.cos(sigma_ref)
-    cd = math.cos(delta_ref)
-    is_boost = 2.0 * cs < gain * (math.cos(delta_ref + s_add) + cd)
+    cs, cd = math.cos(sigma_ref), math.cos(delta_ref)
+    cds = math.cos(delta_ref + s_add)
+    is_boost = 2.0 * cs < gain * (cds + cd)
     if is_boost:
         val, ok = clamped_acos(cd - 2.0 * cs / gain)
         if not ok:
@@ -178,7 +178,7 @@ def q_reference(sigma_ref, delta_ref, s_add, gain):
             ok = ok and -RANGE_TOL <= d <= PI + RANGE_TOL
             d = min(max(d, 0.0), PI)
         return q, d, True, ok and -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
-    val, ok = clamped_acos(cs - gain * cd - gain * math.cos(delta_ref + s_add))
+    val, ok = clamped_acos(cs - gain * cd - gain * cds)
     if not ok:
         return 0.0, PI, False, False
     q = val + sigma_ref

@@ -52,18 +52,19 @@ def plant_step(p: SwitchingParams, u: Uncertainties, gain: float,
     Evaluates the steady-state model with beta replaced by
     beta + beta_offset and L by L * l_scale.
     """
-    if p.omega is None:
+    d, s, beta, omega = p
+    if omega is None:
         raise ValueError("SwitchingParams.omega must be set")
     ind = tank.inductance * u.l_scale
-    z = k.tank_impedance(p.omega, ind, tank.capacitance)
+    z = k.tank_impedance(omega, ind, tank.capacitance)
     if z <= 0:
         raise BelowResonanceError(
-            f"plant sees Z({p.omega}) <= 0 with scaled inductance")
-    beta = p.beta + u.beta_offset
-    amp, sigma, delta, degenerate = k.forward_point(p.d, p.s, beta, gain)
+            f"plant sees Z({omega}) <= 0 with scaled inductance")
+    amp, sigma, delta, degenerate = k.forward_point(
+        d, s, beta + u.beta_offset, gain)
     if degenerate:
         raise DegenerateTankCurrentError("plant tank current collapsed")
-    return k.w_from_amplitude(amp, p.s, delta, z, tank.turns_ratio), \
+    return k.w_from_amplitude(amp, s, delta, z, tank.turns_ratio), \
         sigma, delta
 
 
@@ -145,7 +146,11 @@ class ScenarioConfig:
 def pack_voltage(charge_ah: float, cfg: ScenarioConfig) -> float:
     """Pack voltage of the linear Ah-to-voltage map from v_empty to
     v_full over capacity_ah."""
-    frac = min(max(charge_ah / cfg.capacity_ah, 0.0), 1.0)
+    frac = charge_ah / cfg.capacity_ah
+    if frac < 0.0:
+        frac = 0.0
+    if frac > 1.0:
+        frac = 1.0
     return cfg.v_empty + (cfg.v_full - cfg.v_empty) * frac
 
 
@@ -159,7 +164,11 @@ def battery_step(charge_ah: float, i_out: float,
     charge is clamped to [0, capacity_ah].
     """
     charge = charge_ah + i_out * cfg.dt * cfg.time_scale / 3600.0
-    return min(max(charge, 0.0), cfg.capacity_ah)
+    if charge < 0.0:
+        charge = 0.0
+    if charge > cfg.capacity_ah:
+        charge = cfg.capacity_ah
+    return charge
 
 
 TRACE_COLUMNS = ("t", "G", "I_ref", "I_out", "V_bat", "d", "s", "beta",
@@ -253,35 +262,43 @@ def run_scenario(cfg: ScenarioConfig,
     rng = np.random.default_rng(cfg.seed) if noisy else None
 
     data = {c: np.empty(n_steps) for c in STORED_COLUMNS}
+    # one local reference per STORED_COLUMNS entry, in its order
+    col_i_ref, col_v_bat, col_d, col_s, col_beta, col_omega, col_sigma, \
+        col_s_add, col_w = data.values()
     trace = Trace(data=data, steps=0, cfg=cfg,
                   beta_offset=uncertainties.beta_offset)
-    warm = None     # low-power solver state, kept across analytic steps
+    warm = None     # low-power solver state, kept while solves hand none on
 
+    tank, v_in, v_cv = cfg.tank, cfg.v_in, cfg.v_cv
     i_ref = 0.0
     slew = cfg.i_ref_slew * dt
     for step in range(n_steps):
         v_bat = pack_voltage(charge, cfg)
-        gain = cfg.tank.turns_ratio * v_bat / cfg.v_in
+        gain = tank.turns_ratio * v_bat / v_in
 
         # outer CC/CV stage: voltage PI saturated at the CC setpoint,
         # slew-limited on the way up (soft start)
-        i_cmd = pi_volt.step(cfg.v_cv - v_bat)
-        i_ref += min(max(i_cmd - i_ref, -slew), slew)
-        w_ref = i_ref / cfg.v_in
+        i_cmd = pi_volt.step(v_cv - v_bat)
+        di = i_cmd - i_ref
+        if di < -slew:
+            di = -slew
+        if di > slew:
+            di = slew
+        i_ref += di
+        w_ref = i_ref / v_in
 
         try:
-            solution = parallel_step(refs, w_ref, lag_sigma.state,
-                                     lag_delta.state, lag_w.state, pi_sigma,
-                                     pi_delta, pi_w, gain, cfg.tank,
-                                     warm=warm)
+            params, s_add, _w, _low, warm_next = parallel_step(
+                refs, w_ref, lag_sigma.state, lag_delta.state, lag_w.state,
+                pi_sigma, pi_delta, pi_w, gain, tank, warm=warm)
             w_true, sigma_true, delta_true = plant_step(
-                solution.params, uncertainties, gain, cfg.tank)
+                params, uncertainties, gain, tank)
         except DbsrcError as exc:
             raise ScenarioAbort(
                 f"scenario aborted at step {step} (t={step * dt:.6f} s): "
                 f"{exc}", trace, step) from exc
 
-        i_out = w_true * cfg.v_in
+        i_out = w_true * v_in
 
         w_m, sigma_m, delta_m = w_true, sigma_true, delta_true
         if rng is not None:
@@ -294,14 +311,12 @@ def run_scenario(cfg: ScenarioConfig,
 
         charge = battery_step(charge, i_out, cfg)
 
-        if solution.low_power:
-            warm = solution.warm
+        if warm_next is not None:
+            warm = warm_next
 
-        p = solution.params
-        row = (i_ref, v_bat, p.d, p.s, p.beta, p.omega, sigma_true,
-               solution.s_add, w_true)
-        for name, value in zip(STORED_COLUMNS, row):
-            data[name][step] = value
+        col_i_ref[step], col_v_bat[step] = i_ref, v_bat
+        col_d[step], col_s[step], col_beta[step], col_omega[step] = params
+        col_sigma[step], col_s_add[step], col_w[step] = \
+            sigma_true, s_add, w_true
         trace.steps = step + 1
-
     return trace

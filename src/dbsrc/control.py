@@ -40,15 +40,22 @@ class PiController:
         self.integrator = 0.0
 
     def step(self, error: float) -> float:
+        lo, hi = self.output_min, self.output_max
+        prop = self.kp * error
         incr = self.ki * error * self.dt
         candidate = self.integrator + incr
-        u_raw = self.kp * error + candidate
-        if (u_raw > self.output_max and incr > 0) or \
-           (u_raw < self.output_min and incr < 0):
+        u_raw = prop + candidate
+        if (u_raw > hi and incr > 0) or (u_raw < lo and incr < 0):
             candidate = self.integrator  # anti-windup: freeze
         self.integrator = candidate
-        u = self.kp * error + self.integrator
-        return min(max(u, self.output_min), self.output_max)
+        # min(max(u, lo), hi) as two tests in that order, so NaN, -0.0 and
+        # lo > hi come out the same; the other step-path clamps copy it
+        u = prop + candidate
+        if u < lo:
+            u = lo
+        if u > hi:
+            u = hi
+        return u
 
 
 def _clamp_ref(x: float) -> float:
@@ -100,6 +107,8 @@ def parallel_step(refs: ControlReferences, w_ref: float, sigma_meas: float,
     """
     sigma_reg = pi_sigma.step(refs.sigma_ref - sigma_meas)
     delta_reg = pi_delta.step(refs.delta_ref - delta_meas)
-    w_eff = max(w_ref + pi_w.step(w_ref - w_meas), 0.0)
-    return solve_controls(refs, gain, w_eff, tank,
-                          corrections=(sigma_reg, delta_reg), warm=warm)
+    w_eff = w_ref + pi_w.step(w_ref - w_meas)
+    if w_eff < 0.0:
+        w_eff = 0.0
+    return solve_controls(refs, gain, w_eff, tank, (sigma_reg, delta_reg),
+                          warm)

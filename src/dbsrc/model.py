@@ -13,7 +13,7 @@ radians; no wrapping is performed, callers supply beta in [-pi, pi].
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _kernels as k
 from .errors import BelowResonanceError, DegenerateTankCurrentError
@@ -51,31 +51,39 @@ class TankConfig:
         return 1.0 / math.sqrt(self.inductance * self.capacitance)
 
 
-@dataclass(frozen=True)
-class SwitchingParams:
-    """PWM commutation tuple driving both bridges.
-
-    d is the input-bridge on-time, s the output-bridge short-time (both
-    radians in [0, pi]), beta the inter-bridge phase shift in [-pi, pi]
-    and omega the angular switching frequency (rad/s).  omega may be
-    None for results of the inversion maps, which determine d, s, beta
-    only.
-    """
+class _SwitchingFields(NamedTuple):
     d: float
     s: float
     beta: float
     omega: Optional[float] = None
 
-    def __post_init__(self):
+
+class SwitchingParams(_SwitchingFields):
+    """PWM commutation tuple driving both bridges: an immutable
+    NamedTuple record (d, s, beta, omega), so it compares equal to and
+    unpacks like a plain tuple.
+
+    d is the input-bridge on-time, s the output-bridge short-time (both
+    radians in [0, pi]), beta the inter-bridge phase shift in [-pi, pi]
+    and omega the angular switching frequency (rad/s).  omega may be
+    None for results of the inversion maps, which determine d, s, beta
+    only.  The ranges are checked on construction (``_make`` and
+    ``_replace`` skip the checks).
+    """
+    __slots__ = ()
+
+    def __new__(cls, d: float, s: float, beta: float,
+                omega: Optional[float] = None):
         tol = 1e-9
-        if not -tol <= self.d <= math.pi + tol:
-            raise ValueError(f"d out of [0, pi]: {self.d}")
-        if not -tol <= self.s <= math.pi + tol:
-            raise ValueError(f"s out of [0, pi]: {self.s}")
-        if not -math.pi - tol <= self.beta <= math.pi + tol:
-            raise ValueError(f"beta out of [-pi, pi]: {self.beta}")
-        if self.omega is not None and self.omega <= 0:
+        if not -tol <= d <= math.pi + tol:
+            raise ValueError(f"d out of [0, pi]: {d}")
+        if not -tol <= s <= math.pi + tol:
+            raise ValueError(f"s out of [0, pi]: {s}")
+        if not -math.pi - tol <= beta <= math.pi + tol:
+            raise ValueError(f"beta out of [-pi, pi]: {beta}")
+        if omega is not None and omega <= 0:
             raise ValueError("omega must be positive")
+        return tuple.__new__(cls, (d, s, beta, omega))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ the boundary s_add0 where that branch starts is only reported
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import _kernels as k
 from .errors import (InfeasibleReferenceError, UnreachablePowerError,
@@ -27,15 +26,16 @@ from .inversion import ControlReferences, fully_driven_maps
 from .model import SwitchingParams, TankConfig
 
 
-@dataclass(frozen=True)
-class PowerSolution:
-    """Commutation parameters chosen by the power controller.
+class PowerSolution(NamedTuple):
+    """Commutation parameters chosen by the power controller: an
+    immutable NamedTuple record (params, s_add, achieved_w, low_power,
+    warm), so it compares equal to and unpacks like a plain tuple.
 
     low_power is set when omega was pinned at omega_max and the output
-    was dimmed via s_add; achieved_w then carries the scan result,
-    otherwise it equals the request exactly.  warm is what to pass as
-    ``warm`` to the next solve_controls call: (s_add, s_peak) after a
-    low-power solve, None otherwise.
+    was dimmed via s_add (W* = 0 included); achieved_w then carries the
+    scan result, otherwise it equals the request exactly.  warm is what
+    to pass as ``warm`` to the next solve_controls call: (s_add, s_peak)
+    after a low-power solve of W* > 0, None otherwise.
     """
     params: SwitchingParams
     s_add: float
@@ -148,7 +148,8 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     rightmost crossing, which lies on the monotone branch of the dimming
     curve (past s_add0, skipping the non-monotonic region in one
     discontinuous step).  W* = 0 maps to a fully shorted secondary
-    (s = pi) rather than an error.
+    (s = pi) rather than an error; it is a low-power result that hands
+    no warm state on.
 
     warm, the ``warm`` field of the previous step's solution, starts the
     low-power search from the previous root: it tracks the last local
@@ -180,10 +181,7 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
         raise UnreachablePowerError(
             f"W*={w_ref} unreachable at omega_max with references "
             f"(sigma*={refs.sigma_ref}, delta*={refs.delta_ref})")
-    return PowerSolution(
-        params=SwitchingParams(d=d, s=s, beta=beta, omega=omega),
-        s_add=s_used,
-        achieved_w=w_got,
-        low_power=(status == k.OK_LOWPOWER),
-        warm=(s_used, s_peak) if status == k.OK_LOWPOWER else None,
-    )
+    low_power = status == k.OK_LOWPOWER
+    return PowerSolution(SwitchingParams(d, s, beta, omega), s_used, w_got,
+                         low_power,
+                         (s_used, s_peak) if low_power and w_ref > 0 else None)

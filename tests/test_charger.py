@@ -35,6 +35,33 @@ class TestBattery:
         assert charge == 30.0
         assert pack_voltage(charge, cfg) == 400.0
 
+    def test_clamped_at_empty(self):
+        cfg = ScenarioConfig(dt=10.0, time_scale=100.0)
+        charge = battery_step(0.0001, -1000.0, cfg)
+        assert charge == 0.0
+        assert pack_voltage(charge, cfg) == 240.0
+
+    @pytest.mark.parametrize("charge, volts", [
+        (-5.0, 240.0), (-1e-300, 240.0), (15.0, 320.0), (30.0 + 1e-9, 400.0),
+        (1e9, 400.0)])
+    def test_voltage_clamped_at_both_ends(self, charge, volts):
+        assert pack_voltage(charge, ScenarioConfig()) == volts
+
+    @pytest.mark.parametrize("charge", [
+        math.nan, -0.0, 0.0, -math.inf, math.inf, -1e-300, 30.0,
+        30.0 + 1e-9])
+    def test_clamps_equal_min_max_form(self, charge):
+        """NaN, -0.0 and infinities clamp as min(max(x, lo), hi) does."""
+        cfg = ScenarioConfig()
+        frac = min(max(charge / cfg.capacity_ah, 0.0), 1.0)
+        expected = (min(max(charge, 0.0), cfg.capacity_ah),
+                    cfg.v_empty + (cfg.v_full - cfg.v_empty) * frac)
+        # i_out = -0.0 leaves every charge, -0.0 included, unchanged
+        got = (battery_step(charge, -0.0, cfg), pack_voltage(charge, cfg))
+        for g, e in zip(got, expected):
+            assert (math.isnan(g) and math.isnan(e)) or \
+                (g == e and math.copysign(1.0, g) == math.copysign(1.0, e))
+
 
 class TestPlantStep:
     def setup_method(self):

@@ -66,6 +66,69 @@ class TestPiController:
                 assert pi.integrator == before
 
 
+class _ReferencePi:
+    """The min(max(...)) form of PiController.step, kept as the
+    reference that the branch form must match bit for bit."""
+
+    def __init__(self, kp, ki, dt, output_min, output_max):
+        self.kp, self.ki, self.dt = kp, ki, dt
+        self.output_min, self.output_max = output_min, output_max
+        self.integrator = 0.0
+
+    def step(self, error):
+        incr = self.ki * error * self.dt
+        candidate = self.integrator + incr
+        u_raw = self.kp * error + candidate
+        if (u_raw > self.output_max and incr > 0) or \
+           (u_raw < self.output_min and incr < 0):
+            candidate = self.integrator
+        self.integrator = candidate
+        u = self.kp * error + self.integrator
+        return min(max(u, self.output_min), self.output_max)
+
+
+def _same_float(a, b):
+    """Equal as floats, with the same sign of zero; NaN matches NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_ERRORS = st.one_of(st.floats(-10.0, 10.0),
+                    st.sampled_from([0.0, -0.0, math.nan, 1e-300, -1e-300]))
+_LIMITS = st.one_of(st.floats(-10.0, 10.0),
+                    st.sampled_from([0.0, -0.0, math.inf, -math.inf]))
+
+
+class TestPiControllerReference:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kp=st.sampled_from([0.0, 0.5, 6.0, 25.0]) | st.floats(0.0, 100.0),
+           ki=st.sampled_from([0.0, 200.0, 5000.0]) | st.floats(0.0, 1e4),
+           dt=st.sampled_from([1e-4, 1.0]) | st.floats(1e-6, 1.0),
+           lo=_LIMITS, hi=_LIMITS,
+           errors=st.lists(_ERRORS, min_size=1, max_size=60))
+    def test_step_equals_reference_property(self, kp, ki, dt, lo, hi,
+                                            errors):
+        # lo > hi is not a sensible controller, but both forms must still
+        # agree there: the two clamps run in the same order
+        pi = PiController(kp, ki, dt, lo, hi)
+        ref = _ReferencePi(kp, ki, dt, lo, hi)
+        for e in errors:
+            assert _same_float(pi.step(e), ref.step(e))
+            assert _same_float(pi.integrator, ref.integrator)
+
+    def test_freeze_and_saturation_reached(self):
+        pi = PiController(1.0, 1.0, 1.0, -1.0, 1.0)
+        ref = _ReferencePi(1.0, 1.0, 1.0, -1.0, 1.0)
+        outputs = [(pi.step(e), ref.step(e), pi.integrator, ref.integrator)
+                   for e in (0.5, 0.5, 0.5, -0.25, -3.0, -3.0, 0.0, -0.0)]
+        for u, u_ref, integ, integ_ref in outputs:
+            assert _same_float(u, u_ref)
+            assert _same_float(integ, integ_ref)
+        assert outputs[2][0] == 1.0 and outputs[2][2] == outputs[1][2]
+        assert outputs[5][0] == -1.0 and outputs[5][2] == outputs[4][2]
+
+
 def make_pi_pair(dt=1e-4, kp=0.5, ki=200.0):
     lim = 0.5
     return (PiController(kp, ki, dt, -lim, lim),

@@ -20,6 +20,34 @@ def params(d, s, beta, omega=None):
     return SwitchingParams(d=d, s=s, beta=beta, omega=omega)
 
 
+class TestSwitchingParamsRecord:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(d=-0.01, s=0.0, beta=0.0), "d out of"),
+        (dict(d=math.pi + 0.01, s=0.0, beta=0.0), "d out of"),
+        (dict(d=1.0, s=-0.01, beta=0.0), "s out of"),
+        (dict(d=1.0, s=math.pi + 0.01, beta=0.0), "s out of"),
+        (dict(d=1.0, s=0.0, beta=-math.pi - 0.01), "beta out of"),
+        (dict(d=1.0, s=0.0, beta=math.pi + 0.01), "beta out of"),
+        (dict(d=1.0, s=0.0, beta=0.0, omega=0.0), "omega must be positive"),
+        (dict(d=1.0, s=0.0, beta=0.0, omega=-1.0), "omega must be positive"),
+    ])
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SwitchingParams(**kwargs)
+
+    def test_range_edges_and_tolerance_accepted(self):
+        p = SwitchingParams(-1e-10, math.pi + 1e-10, -math.pi)
+        assert (p.d, p.s, p.beta, p.omega) == (-1e-10, math.pi + 1e-10,
+                                               -math.pi, None)
+
+    @pytest.mark.parametrize("field", ["d", "s", "beta", "omega"])
+    def test_fields_cannot_be_assigned(self, field):
+        p = params(1.0, 0.2, 0.1, 1e6)
+        with pytest.raises(AttributeError):
+            setattr(p, field, 0.5)
+        assert p == params(1.0, 0.2, 0.1, 1e6)
+
+
 class TestHarmonicCoefficients:
     def test_collapse_point(self):
         c = harmonic_coefficients(params(math.pi, 0.0, 0.0), 1.0)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbsrc import (ControlReferences, InfeasibleReferenceError,
-                   SwitchingParams, TankConfig, UnreachablePowerError,
+                   PowerSolution, SwitchingParams, TankConfig, UnreachablePowerError,
                    ZeroPowerReferenceError, default_tank,
                    frequency_from_impedance, fully_driven_frequency,
                    gain_term_h, invert_alignment, required_impedance,
@@ -169,6 +169,32 @@ class TestSolveControls:
         assert sol.s_add == math.pi
         assert sol.achieved_w == 0.0
         assert sol.params.s == math.pi
+
+    def test_zero_reference_hands_no_warm_state_on(self):
+        # W* = 0 is a low-power result, but its s_add = pi is no root of
+        # the dimming curve to start the next low-power search from
+        r = refs(0.1, 0.0)
+        sol = solve_controls(r, 0.7, 0.0, TANK, warm=(1.0, 2.0))
+        assert sol.low_power
+        assert sol.warm is None
+        h0 = gain_term_h(r, 0.7)
+        w0 = TANK.turns_ratio * h0 / (
+            2 * math.pi ** 2 * tank_impedance(TANK.omega_max, TANK))
+        assert solve_controls(r, 0.7, w0 / 2, TANK).warm is not None
+
+    def test_solution_record_fields(self):
+        sol = solve_controls(refs(0.1, 0.0), 0.7, 0.02, TANK)
+        assert isinstance(sol, PowerSolution)
+        assert isinstance(sol.params, SwitchingParams)
+        p = sol.params
+        assert 0.0 <= p.d <= math.pi and 0.0 <= p.s <= math.pi
+        assert -math.pi <= p.beta <= math.pi
+        assert p.omega > 0.0
+        assert sol.s_add >= 0.0
+        assert sol.achieved_w > 0.0
+        assert sol.low_power in (True, False)
+        with pytest.raises(AttributeError):
+            sol.s_add = 1.0
 
     def test_collapse_unreachable(self):
         with pytest.raises(UnreachablePowerError):

@@ -111,18 +111,22 @@ def cold_parallel_step(*args, warm=None, **kwargs):
     ScenarioConfig(duration=0.3, delta_ref=0.05),
 ])
 def test_warm_scenario_equals_cold_scenario(cfg, monkeypatch):
-    fallbacks = []
+    fallbacks, warm_starts = [], []
 
     def scan(*args):
         out = SOLVE_CONTROLS_SCAN(*args)
         fallbacks.append(out[8])
+        warm_starts.append(args[11] >= 0)   # s_prev of a warm state
         return out
 
     monkeypatch.setattr(k, "solve_controls_scan", scan)
     warm = run_scenario(cfg)
     assert sum(fallbacks) == 0
+    assert np.mean(warm_starts) > 0.9
+    warm_starts.clear()
     monkeypatch.setattr(dbsrc.charger, "parallel_step", cold_parallel_step)
     cold = run_scenario(cfg)
+    assert not any(warm_starts)     # the cold run really solves cold
     assert np.mean(cold["s_add"] > 0) > 0.9
     for name in TRACE_COLUMNS:
         assert np.array_equal(warm[name], cold[name]), name
