@@ -153,7 +153,7 @@ def q_reference(sigma_ref, delta_ref, s_add, gain):
     d = acos(cos(sigma*) - G cos(delta* + s) - G cos(delta*)) + sigma*,
     clamped to [0, pi].  Buck points have q <= pi, where the split takes
     d = q; their d is reported as pi.  feasible also requires the boost
-    d to exist.
+    d to exist.  regulated_point writes this map out in its own frame.
 
     Returns (q, d, is_boost, feasible).
     """
@@ -185,35 +185,60 @@ def q_reference(sigma_ref, delta_ref, s_add, gain):
     return q, PI, False, -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
 
 
-def split_q(q, d_boost, s_add):
-    """Split the duty variable q into (d, s): (q, s_add) while q <= pi,
-    else (d_boost, q - pi), s_add being folded into q there."""
-    if q <= PI:
-        return q, s_add
-    return d_boost, q - PI
-
-
 def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     """The inverse map: references and regulator corrections ->
     commutation parameters, feasibility and the angle factor H.
 
-    q, the boost d and beta come from q_reference; the external
+    q, the boost d and feasibility are q_reference's; the external
     controller actions are added (q += sigma_reg, beta += delta_reg),
-    q is clamped to [0, 2 pi] and beta to [-pi, pi], and split_q splits
-    q into (d, s).  The point is feasible when the references are and
-    the in-phase coefficient A of harmonic_ab is at least A_MIN there.
+    q is clamped to [0, 2 pi] and beta to [-pi, pi], and q is split
+    into (d, s): (q, s_add) while q <= pi, else (boost d, q - pi).  The
+    point is feasible when the references are and the in-phase
+    coefficient A of harmonic_ab is at least A_MIN there.
     H = A * (cos(s + delta*) + cos(delta*)) / cos(sigma*), and 0.0
     wherever the point is infeasible.
 
-    A is written out here rather than taken from harmonic_ab because H
-    runs for every point of the low-power scan, where each Python call
-    shows: on perfbench's charge-trickle workload (pure Python,
-    Python 3.11, two shared Xeon vCPUs) a separate A helper made the
-    median time_s of four runs 4% longer (2.79 s against 2.68 s).
+    One Python frame, because H runs for every point of the low-power
+    scan, where each call shows: the q map with clamped_acos's tolerance
+    tests, the split and A are written out here in q_reference's
+    operation order, and cos sigma*, cos delta* and cos(delta* + s_add)
+    are taken once, the last serving as cos(s + delta*) when s is s_add.
+    On perfbench's charge-trickle workload (pure Python, Python 3.11,
+    two shared vCPUs) the median time_s of ten alternating pairs went
+    from 0.422 s, calling q_reference, clamped_acos and a split helper,
+    to 0.357 s (BENCH_13.json).  A test pins it to that composition.
 
     Returns (d, s, beta, h, feasible, is_boost).
     """
-    q, d, is_boost, feasible = q_reference(sigma_ref, delta_ref, s_add, gain)
+    cs, cd = math.cos(sigma_ref), math.cos(delta_ref)
+    cds = math.cos(delta_ref + s_add)
+    is_boost = 2.0 * cs < gain * (cds + cd)
+    x = cd - 2.0 * cs / gain if is_boost else cs - gain * cd - gain * cds
+    feasible = True
+    if x > 1.0:
+        feasible = x <= 1.0 + ACOS_CLAMP_TOL
+        x = 1.0
+    elif x < -1.0:
+        feasible = x >= -1.0 - ACOS_CLAMP_TOL
+        x = -1.0
+    d = PI
+    if not feasible:
+        q = 0.0
+    elif is_boost:
+        q = TWO_PI - math.acos(x) - delta_ref + s_add
+        if s_add == 0.0:
+            # see q_reference: the exact root at s = s_min
+            d = PI if sigma_ref >= 0.0 else PI + sigma_ref - abs(sigma_ref)
+        else:
+            x = cs - gain * math.cos(delta_ref + (q - PI)) - gain * cd
+            ok = not (x > 1.0 + ACOS_CLAMP_TOL or x < -1.0 - ACOS_CLAMP_TOL)
+            d = (math.acos(min(max(x, -1.0), 1.0)) if ok else 0.0) + sigma_ref
+            feasible = ok and -RANGE_TOL <= d <= PI + RANGE_TOL
+            d = min(max(d, 0.0), PI)
+        feasible = feasible and -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
+    else:
+        q = math.acos(x) + sigma_ref
+        feasible = -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
     beta = sigma_ref + delta_ref + delta_reg
     q = q + sigma_reg
     if q < 0.0:
@@ -224,13 +249,16 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
         beta = -PI
     elif beta > PI:
         beta = PI
-    d, s = split_q(q, d, s_add)
+    if q <= PI:
+        d, s = q, s_add
+    else:
+        s = q - PI
+        cds = math.cos(s + delta_ref)
     a = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
         + 4.0 * gain * math.sin(beta)
     if a < A_MIN or not feasible:
         return d, s, beta, 0.0, False, is_boost
-    return d, s, beta, a * (math.cos(s + delta_ref) + math.cos(delta_ref)) \
-        / math.cos(sigma_ref), True, is_boost
+    return d, s, beta, a * (cds + cd) / cs, True, is_boost
 
 
 def invert_exact(sigma_ref, delta_ref, s_add, gain):

@@ -294,6 +294,7 @@ def run_scenario(cfg: ScenarioConfig,
             w_true, sigma_true, delta_true = plant_step(
                 params, uncertainties, gain, tank)
         except DbsrcError as exc:
+            trace.steps = step
             raise ScenarioAbort(
                 f"scenario aborted at step {step} (t={step * dt:.6f} s): "
                 f"{exc}", trace, step) from exc
@@ -318,5 +319,5 @@ def run_scenario(cfg: ScenarioConfig,
         col_d[step], col_s[step], col_beta[step], col_omega[step] = params
         col_sigma[step], col_s_add[step], col_w[step] = \
             sigma_true, s_add, w_true
-        trace.steps = step + 1
+    trace.steps = n_steps
     return trace

@@ -116,11 +116,13 @@ def q_split(q: float, s_add: float) -> Tuple[float, float]:
     q <= pi: (d, s) = (q, s_add); q > pi: (d, s) = (pi, q - pi) with
     s_add already folded into q on the boost side.  This d = pi split
     is lossless at s_add = 0; in boost with s_add > 0 the exact inverse
-    needs another d, which the controller takes from q_reference.
+    needs another d, the one _kernels.regulated_point takes.
     """
     if not -k.RANGE_TOL <= q <= 2.0 * math.pi + k.RANGE_TOL:
         raise ValueError(f"q out of [0, 2 pi]: {q}")
-    return k.split_q(q, math.pi, s_add)
+    if q <= math.pi:
+        return q, s_add
+    return math.pi, q - math.pi
 
 
 def q_from_references(refs: ControlReferences, gain: float) -> Tuple[float, Mode]:

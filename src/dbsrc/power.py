@@ -33,9 +33,11 @@ class PowerSolution(NamedTuple):
 
     low_power is set when omega was pinned at omega_max and the output
     was dimmed via s_add (W* = 0 included); achieved_w then carries the
-    scan result, otherwise it equals the request exactly.  warm is what
-    to pass as ``warm`` to the next solve_controls call: (s_add, s_peak)
-    after a low-power solve of W* > 0, None otherwise.
+    scan result, otherwise it equals the request exactly.  achieved_w is
+    the W at the reference angles, which the forward model at params
+    confirms only at zero corrections (see solve_controls).  warm is
+    what to pass as ``warm`` to the next solve_controls call:
+    (s_add, s_peak) after a low-power solve of W* > 0, None otherwise.
     """
     params: SwitchingParams
     s_add: float
@@ -159,6 +161,10 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     instead of about 240.  When the crossing cannot be certified on
     that monotone branch the full scan runs instead.
     Without warm (the default) every low-power solve is the full scan.
+
+    achieved_w is the W of H at the reference angles sigma*, delta*; the
+    forward model at the returned params confirms it only at zero
+    corrections, since nonzero ones move the angles and W with them.
 
     Raises:
         InfeasibleReferenceError: references not invertible at this gain.

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbsrc import (ControlReferences, InfeasibleReferenceError, Mode,
@@ -31,6 +31,25 @@ def inversion_residual(params, sigma_ref, delta_ref, gain):
     """G cos(delta* + s) + G cos delta* + cos(d - sigma*) - cos sigma*"""
     return gain * math.cos(delta_ref + params.s) + gain * math.cos(delta_ref) \
         + math.cos(params.d - sigma_ref) - math.cos(sigma_ref)
+
+
+def composed_regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg,
+                             delta_reg):
+    """_kernels.regulated_point as the composition it folds:
+    q_reference, the corrections and their clamps, the q split, A and
+    H."""
+    q, d, is_boost, feasible = k.q_reference(sigma_ref, delta_ref, s_add,
+                                             gain)
+    beta = min(max(sigma_ref + delta_ref + delta_reg, -math.pi), math.pi)
+    q = min(max(q + sigma_reg, 0.0), 2.0 * math.pi)
+    d, s = (q, s_add) if q <= math.pi else (d, q - math.pi)
+    a = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
+        + 4.0 * gain * math.sin(beta)
+    if a < k.A_MIN or not feasible:
+        return d, s, beta, 0.0, False, is_boost
+    h = a * (math.cos(s + delta_ref) + math.cos(delta_ref)) \
+        / math.cos(sigma_ref)
+    return d, s, beta, h, True, is_boost
 
 
 class TestInvertAlignment:
@@ -243,6 +262,24 @@ class TestQMaps:
             return
         point = k.regulated_point(sigma_ref, delta_ref, s_add, gain, 0.0, 0.0)
         assert point[:3] == (d, s, beta)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(sigma_ref=st.floats(-math.pi / 2, math.pi / 2),
+           delta_ref=st.floats(-math.pi / 2, math.pi / 2),
+           s_add=st.floats(0.0, math.pi), gain=st.floats(0.05, 3.0),
+           sigma_reg=st.floats(-0.5, 0.5), delta_reg=st.floats(-0.5, 0.5))
+    @example(0.1, 0.0, 0.0, 1.3, 0.2, -0.1)
+    @example(0.1, 0.0, math.pi, 0.8, 0.0, 0.0)
+    @example(-0.3, 0.4, math.pi, 2.5, 0.5, -0.5)
+    def test_regulated_point_equals_its_composition_property(
+            self, sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
+        # regulated_point writes the q map, the split and A out in one
+        # frame; this is the composition it folds, infeasible points too
+        args = (sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg)
+        want = composed_regulated_point(*args)
+        got = k.regulated_point(*args)
+        assert got == want
+        assert repr(got) == repr(want)      # signs of zero too
 
 
 class TestFullyDrivenMaps:

@@ -93,6 +93,7 @@ def test_no_warm_state_is_the_cold_scan():
 
 PARALLEL_STEP = dbsrc.charger.parallel_step
 SOLVE_CONTROLS_SCAN = k.solve_controls_scan
+REGULATED_POINT = k.regulated_point
 
 
 def cold_parallel_step(*args, warm=None, **kwargs):
@@ -100,7 +101,7 @@ def cold_parallel_step(*args, warm=None, **kwargs):
     return PARALLEL_STEP(*args, **kwargs)
 
 
-@pytest.mark.parametrize("cfg", [
+SCENARIOS = [
     # soft-start ramp: low-power buck throughout
     ScenarioConfig(duration=0.3),
     # 2 A across G = 1 with sensor noise: low-power buck and boost
@@ -109,7 +110,10 @@ def cold_parallel_step(*args, warm=None, **kwargs):
                    noise_std_w=1e-5, seed=3),
     # delta* > 0: H is negative just left of pi, where the hump is tracked
     ScenarioConfig(duration=0.3, delta_ref=0.05),
-])
+]
+
+
+@pytest.mark.parametrize("cfg", SCENARIOS)
 def test_warm_scenario_equals_cold_scenario(cfg, monkeypatch):
     fallbacks, warm_starts = [], []
 
@@ -130,3 +134,30 @@ def test_warm_scenario_equals_cold_scenario(cfg, monkeypatch):
     assert np.mean(cold["s_add"] > 0) > 0.9
     for name in TRACE_COLUMNS:
         assert np.array_equal(warm[name], cold[name]), name
+
+
+@pytest.mark.parametrize("cfg", SCENARIOS)
+def test_reported_h_evaluations_are_regulated_point_calls(cfg, monkeypatch):
+    """The count a scan reports (index 9) is its number of H evaluations,
+    each a module-level regulated_point call, which is what perfbench's
+    tracer counts."""
+    calls = [0]
+    counts = []
+
+    def regulated_point(*args):
+        calls[0] += 1
+        return REGULATED_POINT(*args)
+
+    def scan(*args):
+        before = calls[0]
+        out = SOLVE_CONTROLS_SCAN(*args)
+        counts.append((out[9], calls[0] - before))
+        return out
+
+    monkeypatch.setattr(k, "regulated_point", regulated_point)
+    monkeypatch.setattr(k, "solve_controls_scan", scan)
+    run_scenario(cfg)
+    assert len(counts) == int(round(cfg.duration / cfg.dt))
+    assert sum(reported > 1 for reported, _ in counts) > 100
+    assert [reported for reported, _ in counts] == \
+        [called for _, called in counts]
