@@ -13,10 +13,11 @@ cell: about 240 H evaluations.  Warm, it starts from the previous
 step's root and the previous bound on the last local maximum of
 max(H, 0): the bound is re-tracked along the grid, the crossing is
 bracketed on [bound, pi], where max(H, 0) is non-increasing and the
-crossing of the positive target unique, and Illinois regula falsi
-narrows the bracket; the scan then evaluates only inside it, so the
-warm root is the cold scan's, bit for bit, after 9 to 13 evaluations
-on the charger workloads.  When there is no such bracket
+crossing of the positive target unique, starting one Newton step from
+the previous root on the previous solve's slope dH/ds, and Illinois
+regula falsi narrows the bracket; the scan then evaluates only inside
+it, so the warm root is the cold scan's, bit for bit, after 9 to 11
+evaluations on the charger workloads.  When there is no such bracket
 the cold scan runs and the solve reports a fallback.
 """
 
@@ -35,6 +36,8 @@ SCAN_STEP = PI / 512        # grid of the short-time scans
 W_REL_TOL = 0.01            # accepted relative W miss of the low-power scan
 BISECT_TOL = 1e-10          # final bracket width of the low-power solve
 WARM_STEP = 1e-3            # first widening step of a warm bracket
+NEWTON_STEP = 1e-5          # the same after a Newton step, whose miss is
+                            # below this in 9 of 10 charger solves
 PEAK_MOVES = 8              # grid steps a tracked maximum may move per solve
 ILLINOIS_MAX = 40           # regula falsi steps before a warm solve gives up
 
@@ -309,16 +312,17 @@ def _scan_root(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
         x = SCAN_GRID[k]
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if a < mid < b:
-            n += 1
-            above = regulated_point(sigma_ref, delta_ref, mid, gain,
-                                    sigma_reg, delta_reg)[3] > h_target
-        else:
-            above = mid <= a
-        if above:
+        if mid <= a:
             lo = mid
-        else:
+        elif mid >= b:
             hi = mid
+        else:
+            n += 1
+            if regulated_point(sigma_ref, delta_ref, mid, gain, sigma_reg,
+                               delta_reg)[3] > h_target:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi), n
 
 
@@ -395,25 +399,46 @@ def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
 
 
 def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
-                  h_target, x0):
+                  h_target, x0, slope):
     """Bracket [a, b] of H = h_target inside [s_lo, pi] with
     H(a) > h_target >= H(b): widen geometrically from x0 by WARM_STEP,
     then narrow with Illinois regula falsi (Dowell & Jarratt 1971) to
     BISECT_TOL.
 
-    Returns (a, b, evaluations); a is -1.0 when [s_lo, pi] holds no
-    bracket or the narrowing does not converge.
+    With slope < 0, the dH/ds carried from the previous solve's bracket,
+    the widening starts by NEWTON_STEP instead, from one Newton step
+    x0 - (H(x0) - h_target) / slope clamped to [s_lo, pi] when that step
+    is longer than NEWTON_STEP (a shorter one does not pay for its
+    evaluation), else from x0.  slope = 0.0 (not known yet) or NaN
+    skips both.  A wrong slope can cost evaluations but cannot move the
+    bracket off the crossing, which the widening checks by sign.
+
+    Returns (a, b, slope, evaluations), the slope being the secant of
+    the widened bracket; a is -1.0, and the slope 0.0, when [s_lo, pi]
+    holds no bracket or the narrowing does not converge.
     """
     x = min(max(x0, s_lo), PI)
     fx = regulated_point(sigma_ref, delta_ref, x, gain, sigma_reg,
                          delta_reg)[3] - h_target
     n = 1
     step = WARM_STEP
+    if slope < 0.0:
+        step = NEWTON_STEP
+        dx = fx / slope
+        if dx > NEWTON_STEP or dx < -NEWTON_STEP:
+            x -= dx
+            if x < s_lo:
+                x = s_lo
+            if x > PI:
+                x = PI
+            fx = regulated_point(sigma_ref, delta_ref, x, gain, sigma_reg,
+                                 delta_reg)[3] - h_target
+            n = 2
     a, fa, b, fb = x, fx, x, fx
     if fx > 0.0:
         while fb > 0.0:         # crossing right of x: move b out
             if b >= PI:
-                return -1.0, 0.0, n
+                return -1.0, 0.0, 0.0, n
             a, fa = b, fb
             b = min(b + step, PI)
             fb = regulated_point(sigma_ref, delta_ref, b, gain, sigma_reg,
@@ -423,20 +448,24 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     else:
         while fa <= 0.0:        # crossing left of x: move a out
             if a <= s_lo:
-                return -1.0, 0.0, n
+                return -1.0, 0.0, 0.0, n
             b, fb = a, fa
             a = max(a - step, s_lo)
             fa = regulated_point(sigma_ref, delta_ref, a, gain, sigma_reg,
                                  delta_reg)[3] - h_target
             n += 1
             step *= 2.0
+    slope = (fb - fa) / (b - a)
     side = 0
     for _ in range(ILLINOIS_MAX):
         if b - a <= BISECT_TOL:
-            return a, b, n
+            return a, b, slope, n
         x = (a * fb - b * fa) / (fb - fa)
         # strictly inside, so that rounding cannot stall it on an end
-        x = min(max(x, a + 0.25 * BISECT_TOL), b - 0.25 * BISECT_TOL)
+        if x < a + 0.25 * BISECT_TOL:
+            x = a + 0.25 * BISECT_TOL
+        if x > b - 0.25 * BISECT_TOL:
+            x = b - 0.25 * BISECT_TOL
         fx = regulated_point(sigma_ref, delta_ref, x, gain, sigma_reg,
                              delta_reg)[3] - h_target
         n += 1
@@ -450,12 +479,12 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
             if side == -1:
                 fa *= 0.5
             side = -1
-    return -1.0, 0.0, n
+    return -1.0, 0.0, 0.0, n
 
 
 def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
                         sigma_reg, delta_reg, ind, cap, ratio, omega_max,
-                        s_prev=-1.0, s_peak=-1.0):
+                        s_prev=-1.0, s_peak=-1.0, slope=0.0):
     """Outer power-control loop: pick (d, s, beta, omega, s_add).
 
     Analytic branch: at the requested s_add (in [0, pi]) compute the
@@ -471,41 +500,44 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
 
     Warm start: s_prev >= 0 is the previous low-power root and s_peak
     the previous bound on the last local maximum of max(H, 0)
-    (negative: not known yet).  The bound is tracked from s_peak, the
-    crossing is bracketed from s_prev on [bound, pi], where max(H, 0) is
-    non-increasing and the crossing of the positive target unique, and
-    the scan then evaluates only inside that bracket, which gives the
-    cold scan's s_add bit for bit.  Without a
-    bracket there (the crossing moved left of the hump, or none was
-    found) the cold scan runs and the fallback flag is set.  Without a
-    warm state (the defaults) this is the cold scan.
+    (negative: not known yet); slope is the previous solve's dH/ds at
+    s_prev (0.0: not known yet).  The bound is tracked from s_peak and
+    the crossing bracketed on [bound, pi], where max(H, 0) is
+    non-increasing and the crossing of the positive target unique,
+    starting from s_prev or, when slope < 0, one Newton step off it; the
+    scan then evaluates only inside that bracket, which gives the cold
+    scan's s_add bit for bit.
+    Without a bracket there (the crossing moved left of the hump, or
+    none was found) the cold scan runs and the fallback flag is set.
+    Without a warm state (the defaults) this is the cold scan.
 
     Returns (d, s, beta, omega, s_add_used, h, w_achieved, status,
-    fallback, h_evaluations, s_peak); s_peak is -1.0 except after a warm
-    low-power solve.
+    fallback, h_evaluations, s_peak, slope); s_peak is -1.0 except after
+    a warm low-power solve, and slope 0.0 except after one that found
+    its bracket.
     """
     if w_ref <= 0.0:
         # zero power: fully shorted secondary
         d, s, beta, h, _ok, _boost = regulated_point(
             sigma_ref, delta_ref, PI, gain, sigma_reg, delta_reg)
         return d, s, beta, omega_max, PI, h, 0.0, OK_LOWPOWER, False, 1, \
-            -1.0
+            -1.0, 0.0
 
     d, s, beta, h, ok, _boost = regulated_point(
         sigma_ref, delta_ref, s_add_req, gain, sigma_reg, delta_reg)
     if not ok:
         return d, s, beta, 0.0, s_add_req, h, 0.0, INFEASIBLE, False, 1, \
-            -1.0
+            -1.0, 0.0
     if h <= 1e-9:
         # collapsed tank current (H is rounding noise): no frequency
         # reaches any positive power
         return d, s, beta, 0.0, s_add_req, h, 0.0, UNREACHABLE, False, 1, \
-            -1.0
+            -1.0, 0.0
 
     omega = omega_from_impedance(hz_split(h, w_ref, ratio), ind, cap)
     if omega <= omega_max * (1.0 + 1e-12):
         return d, s, beta, omega, s_add_req, h, w_ref, OK_ANALYTIC, False, \
-            1, -1.0
+            1, -1.0, 0.0
 
     # low-power branch at fixed omega_max; W is linear in H at fixed Z
     z_max = tank_impedance(omega_max, ind, cap)
@@ -515,11 +547,14 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     if s_prev >= 0.0:
         bound, n = _last_peak(sigma_ref, delta_ref, s_add_req, gain,
                               sigma_reg, delta_reg, s_peak)
-        a, b, m = _warm_bracket(sigma_ref, delta_ref, max(bound, s_add_req),
-                                gain, sigma_reg, delta_reg, h_target, s_prev)
+        a, b, slope, m = _warm_bracket(
+            sigma_ref, delta_ref, max(bound, s_add_req), gain, sigma_reg,
+            delta_reg, h_target, s_prev, slope)
         n += m
         if a < 0.0:
             a, b, fallback = -1.0, 4.0, True
+    else:
+        slope = 0.0
     s_used, m = _scan_root(sigma_ref, delta_ref, s_add_req, gain, sigma_reg,
                            delta_reg, h_target, a, b)
     d, s, beta, h, _ok, _boost = regulated_point(
@@ -529,4 +564,4 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     if abs(w_achieved - w_ref) > W_REL_TOL * w_ref:
         status = UNREACHABLE
     return d, s, beta, omega_max, s_used, h, w_achieved, status, fallback, \
-        n + m + 2, bound
+        n + m + 2, bound, slope

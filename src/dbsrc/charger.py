@@ -88,6 +88,10 @@ ANGLE_CORR_LIMIT = 0.5
 # near G = cos(sigma*) the beta-offset uncertainty roughly halves the
 # plant amplitude, so the W correction needs headroom of order W* itself
 W_CORR_LIMIT = 0.25
+# steps of sensor noise drawn per rng call: the draws of one block are
+# the stream of as many scalar calls, and a small block keeps the list
+# of floats small
+NOISE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -258,8 +262,10 @@ def run_scenario(cfg: ScenarioConfig,
     lag_sigma = SensorLag(cfg.sensor_tau, dt)
     lag_delta = SensorLag(cfg.sensor_tau, dt)
 
-    noisy = cfg.noise_std_angle > 0 or cfg.noise_std_w > 0
+    std_angle, std_w = cfg.noise_std_angle, cfg.noise_std_w
+    noisy = std_angle > 0 or std_w > 0
     rng = np.random.default_rng(cfg.seed) if noisy else None
+    noise, j = [], 0    # the current block of draws, the index of the next
 
     data = {c: np.empty(n_steps) for c in STORED_COLUMNS}
     # one local reference per STORED_COLUMNS entry, in its order
@@ -303,9 +309,12 @@ def run_scenario(cfg: ScenarioConfig,
 
         w_m, sigma_m, delta_m = w_true, sigma_true, delta_true
         if rng is not None:
-            sigma_m += cfg.noise_std_angle * rng.standard_normal()
-            delta_m += cfg.noise_std_angle * rng.standard_normal()
-            w_m += cfg.noise_std_w * rng.standard_normal()
+            if j == len(noise):
+                noise, j = rng.standard_normal(3 * NOISE_BLOCK).tolist(), 0
+            sigma_m += std_angle * noise[j]
+            delta_m += std_angle * noise[j + 1]
+            w_m += std_w * noise[j + 2]
+            j += 3
         lag_w.step(w_m)
         lag_sigma.step(sigma_m)
         lag_delta.step(delta_m)

@@ -90,7 +90,7 @@ def parallel_step(refs: ControlReferences, w_ref: float, sigma_meas: float,
                   delta_meas: float, w_meas: float, pi_sigma: PiController,
                   pi_delta: PiController, pi_w: PiController, gain: float,
                   tank: TankConfig,
-                  warm: tuple[float, float] | None = None) -> PowerSolution:
+                  warm: tuple[float, ...] | None = None) -> PowerSolution:
     """Parallel nonlinear compensation step.
 
     The PI actions are added to the outputs of the combined inversion

@@ -163,6 +163,18 @@ class TestRunScenario:
         assert np.all(tr["omega"] > 0)
         assert np.all(tr["omega"] <= default_tank().omega_max * (1 + 1e-12))
 
+    def test_current_reference_slew_limited_both_ways(self):
+        # near full charge the CV stage first ramps I_ref up, then pulls
+        # it down faster than the slew allows
+        cfg = ScenarioConfig(initial_charge_ah=29.5, duration=1.0,
+                             time_scale=1000.0)
+        i_ref = run_scenario(cfg)["I_ref"]
+        slew = cfg.i_ref_slew * cfg.dt
+        prev, nxt = i_ref[:-1], i_ref[1:]
+        assert np.all((prev - slew <= nxt) & (nxt <= prev + slew))
+        assert np.sum(nxt == prev + slew) > 1000
+        assert np.sum(nxt == prev - slew) > 1000
+
     def test_each_layer_called_once_per_step(self, monkeypatch):
         # perfbench's tracer wraps these module attributes and counts
         # control steps, solves and plant evaluations through them

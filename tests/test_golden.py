@@ -1,12 +1,14 @@
-"""Golden slices: four short charger runs, one per operating mode,
-compared bit for bit with the traces frozen in tests/golden/.
+"""Golden slices: short charger runs, one per operating mode plus a
+noisy one, compared bit for bit with the traces frozen in tests/golden/.
 
 Each slice starts at its setpoint (i_ref_slew = 1e6) from a chosen
 charge, so that every step after the first runs in one mode, classified
-as in criterion 10.  Every SLICE_STRIDE-th row is stored at %.17g, which
-reads back as the same float.  A change that is meant to keep the
-trajectories must pass these unchanged; one that moves them on purpose
-rewrites the files with ``python tests/test_golden.py`` and says why.
+as in criterion 10.  The noisy slice adds seeded sensor noise to the
+low-power buck point, so it also pins the order of the noise draws.
+Every SLICE_STRIDE-th row is stored at %.17g, which reads back as the
+same float.  A change that is meant to keep the trajectories must pass
+these unchanged; one that moves them on purpose rewrites the files with
+``python tests/test_golden.py`` and says why.
 """
 
 import math
@@ -22,24 +24,28 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "golden")
 SLICE_STRIDE = 20
 
-# name -> (i_cc, initial_charge_ah): 2 A dims at omega_max, 25 A does
-# not; 5 Ah starts at G = 0.83, 25 Ah at G = 1.17
+# name -> (mode, i_cc, initial_charge_ah, noise_std_angle, noise_std_w):
+# 2 A dims at omega_max, 25 A does not; 5 Ah starts at G = 0.83, 25 Ah at
+# G = 1.17; the noise is drawn with seed 1
 SLICES = {
-    "low-power-buck": (2.0, 5.0),
-    "buck": (25.0, 5.0),
-    "boost": (25.0, 25.0),
-    "low-power-boost": (2.0, 25.0),
+    "low-power-buck": ("low-power-buck", 2.0, 5.0, 0.0, 0.0),
+    "buck": ("buck", 25.0, 5.0, 0.0, 0.0),
+    "boost": ("boost", 25.0, 25.0, 0.0, 0.0),
+    "low-power-boost": ("low-power-boost", 2.0, 25.0, 0.0, 0.0),
+    "noisy-low-power-buck": ("low-power-buck", 2.0, 5.0, 1e-3, 1e-5),
 }
 
 
 def slice_config(name):
-    i_cc, charge_ah = SLICES[name]
+    _mode, i_cc, charge_ah, std_angle, std_w = SLICES[name]
     return ScenarioConfig(i_cc=i_cc, i_ref_slew=1e6,
-                          initial_charge_ah=charge_ah, duration=0.2)
+                          initial_charge_ah=charge_ah, duration=0.2,
+                          noise_std_angle=std_angle, noise_std_w=std_w,
+                          seed=1)
 
 
-def mode_mask(trace, name):
-    """Criterion 10's classification of each step into ``name``."""
+def mode_mask(trace, mode):
+    """Criterion 10's classification of each step into ``mode``."""
     s_add, gain, d, s = trace["s_add"], trace["G"], trace["d"], trace["s"]
     lowpower = s_add > 1e-6
     return {
@@ -47,7 +53,7 @@ def mode_mask(trace, name):
         "buck": ~lowpower & (d < math.pi - 1e-6) & (gain < 1),
         "boost": ~lowpower & (np.abs(d - math.pi) < 1e-9) & (s > 1e-6),
         "low-power-boost": lowpower & (gain > 1),
-    }[name]
+    }[mode]
 
 
 def sliced_rows(trace):
@@ -63,7 +69,7 @@ def test_golden_slice(name):
     trace = run_scenario(slice_config(name))
     assert trace.steps == 2000
     # the first step solves at s_add = 0 before the power loop engages
-    assert mode_mask(trace, name)[1:].all()
+    assert mode_mask(trace, SLICES[name][0])[1:].all()
     with open(golden_path(name)) as fh:
         assert fh.readline().rstrip("\n").split(",") == list(TRACE_COLUMNS)
     golden = np.loadtxt(golden_path(name), delimiter=",", skiprows=1)

@@ -182,6 +182,22 @@ class TestSolveControls:
             2 * math.pi ** 2 * tank_impedance(TANK.omega_max, TANK))
         assert solve_controls(r, 0.7, w0 / 2, TANK).warm is not None
 
+    def test_warm_state_of_two_or_three_elements(self):
+        # a low-power solve hands (s_add, s_peak, slope) on; the 2-tuple
+        # of an older caller still warm-starts, without the Newton step
+        r = refs(0.1, 0.0)
+        h0 = gain_term_h(r, 0.7)
+        w0 = TANK.turns_ratio * h0 / (
+            2 * math.pi ** 2 * tank_impedance(TANK.omega_max, TANK))
+        first = solve_controls(r, 0.7, w0 / 2, TANK, warm=(1.0, -1.0))
+        assert len(first.warm) == 3 and first.warm[2] < 0.0
+        cold = solve_controls(r, 0.7, 0.45 * w0, TANK)
+        for warm in (first.warm, first.warm[:2]):
+            sol = solve_controls(r, 0.7, 0.45 * w0, TANK, warm=warm)
+            assert sol[:4] == cold[:4]
+            assert sol.warm[:2] != cold.warm[:2]    # s_peak: a warm solve
+            assert sol.warm[2] < 0.0
+
     def test_solution_record_fields(self):
         sol = solve_controls(refs(0.1, 0.0), 0.7, 0.02, TANK)
         assert isinstance(sol, PowerSolution)

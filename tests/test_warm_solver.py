@@ -44,12 +44,23 @@ def with_w(args, w_ref):
     return args[:4] + (w_ref,) + args[5:]
 
 
+# dH/ds to carry into a warm solve: the previous solve's own (None), no
+# Newton step (0.0, NaN, positive), a zero-length one (-inf), one thrown
+# to an end of the range (subnormal) and wildly wrong ones
+SLOPES = st.one_of(
+    st.none(), st.just(0.0), st.just(math.nan), st.just(math.inf),
+    st.just(-math.inf), st.floats(1e-300, 1e300),
+    st.floats(-1e-308, -5e-324), st.floats(-1e300, -1e-300))
+
+
 @SETTINGS
 @given(args=lowpower_states(), w_step=st.floats(-0.05, 0.05),
        root_shift=st.floats(-0.05, 0.05),
-       peak_shift=st.one_of(st.none(), st.integers(-4, 4)))
+       peak_shift=st.one_of(st.none(), st.integers(-4, 4)), slope=SLOPES)
 def test_warm_solve_returns_the_scan_root_or_falls_back(
-        args, w_step, root_shift, peak_shift):
+        args, w_step, root_shift, peak_shift, slope):
+    """A warm solve returns the cold scan's result bit for bit, unless it
+    falls back; a bad slope may cost evaluations but never moves it."""
     cold = k.solve_controls_scan(*args)
     assume(cold[7] == k.OK_LOWPOWER)
     # the previous step: W* a few percent away, warm-started from nothing
@@ -59,12 +70,15 @@ def test_warm_solve_returns_the_scan_root_or_falls_back(
     s_prev = min(max(prev[4] + root_shift, 0.0), math.pi)
     s_peak = -1.0 if peak_shift is None or prev[10] < 0 \
         else prev[10] + peak_shift * k.SCAN_STEP
-    warm = k.solve_controls_scan(*args, s_prev, s_peak)
+    if slope is None:
+        slope = prev[11]
+    warm = k.solve_controls_scan(*args, s_prev, s_peak, slope)
     assert warm[7] == cold[7]
     assert warm[9] >= 1
     if not warm[8]:
-        assert abs(warm[4] - cold[4]) <= 1e-9
+        assert warm[:7] == cold[:7]
         assert 0.0 <= warm[10] <= math.pi
+        assert warm[11] < 0.0
 
 
 @SETTINGS
@@ -87,7 +101,7 @@ def test_no_warm_state_is_the_cold_scan():
             TANK.capacitance, TANK.turns_ratio, TANK.omega_max)
     out = k.solve_controls_scan(*args)
     assert out[7] == k.OK_LOWPOWER
-    assert out[8:] == (False, out[9], -1.0)
+    assert out[8:] == (False, out[9], -1.0, 0.0)
     assert out[9] > 100        # every grid point right of the root
 
 
