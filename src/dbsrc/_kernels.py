@@ -19,6 +19,11 @@ regula falsi narrows the bracket; the scan then evaluates only inside
 it, so the warm root is the cold scan's, bit for bit, after 9 to 11
 evaluations on the charger workloads.  When there is no such bracket
 the cold scan runs and the solve reports a fallback.
+
+That warm state, (s_add, s_peak, slope) after a low-power solve, is
+read only here: solve_controls_scan returns it as its last element,
+and its callers pass whatever they got back as the next call's warm,
+without looking inside.
 """
 
 import math
@@ -484,7 +489,7 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
 
 def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
                         sigma_reg, delta_reg, ind, cap, ratio, omega_max,
-                        s_prev=-1.0, s_peak=-1.0, slope=0.0):
+                        warm=None):
     """Outer power-control loop: pick (d, s, beta, omega, s_add).
 
     Analytic branch: at the requested s_add (in [0, pi]) compute the
@@ -498,53 +503,53 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     by bisection.  A result more than W_REL_TOL off W* is reported
     unreachable.
 
-    Warm start: s_prev >= 0 is the previous low-power root and s_peak
-    the previous bound on the last local maximum of max(H, 0)
-    (negative: not known yet); slope is the previous solve's dH/ds at
-    s_prev (0.0: not known yet).  The bound is tracked from s_peak and
-    the crossing bracketed on [bound, pi], where max(H, 0) is
-    non-increasing and the crossing of the positive target unique,
-    starting from s_prev or, when slope < 0, one Newton step off it; the
-    scan then evaluates only inside that bracket, which gives the cold
-    scan's s_add bit for bit.
+    warm is None (the cold scan) or the warm state an earlier call
+    returned, (s_prev, s_peak, slope): the previous low-power root, the
+    previous bound on the last local maximum of max(H, 0) (negative:
+    not known yet) and the previous solve's dH/ds at s_prev (0.0: not
+    known yet).  The bound is tracked from s_peak and the crossing
+    bracketed on [bound, pi], where max(H, 0) is non-increasing and the
+    crossing of the positive target unique, starting from s_prev or,
+    when slope < 0, one Newton step off it; the scan then evaluates only
+    inside that bracket, which gives the cold scan's s_add bit for bit.
     Without a bracket there (the crossing moved left of the hump, or
     none was found) the cold scan runs and the fallback flag is set.
-    Without a warm state (the defaults) this is the cold scan.
 
     Returns (d, s, beta, omega, s_add_used, h, w_achieved, status,
-    fallback, h_evaluations, s_peak, slope); s_peak is -1.0 except after
-    a warm low-power solve, and slope 0.0 except after one that found
-    its bracket.
+    fallback, h_evaluations, warm).  The last is the warm state for the
+    next call: (s_add_used, bound, slope) after a low-power solve of
+    W* > 0, bound being -1.0 after a cold solve and slope 0.0 unless the
+    solve found its bracket; on every other path (analytic, W* <= 0,
+    infeasible, unreachable) it is the warm argument itself.
     """
     if w_ref <= 0.0:
         # zero power: fully shorted secondary
         d, s, beta, h, _ok, _boost = regulated_point(
             sigma_ref, delta_ref, PI, gain, sigma_reg, delta_reg)
-        return d, s, beta, omega_max, PI, h, 0.0, OK_LOWPOWER, False, 1, \
-            -1.0, 0.0
+        return d, s, beta, omega_max, PI, h, 0.0, OK_LOWPOWER, False, 1, warm
 
     d, s, beta, h, ok, _boost = regulated_point(
         sigma_ref, delta_ref, s_add_req, gain, sigma_reg, delta_reg)
     if not ok:
-        return d, s, beta, 0.0, s_add_req, h, 0.0, INFEASIBLE, False, 1, \
-            -1.0, 0.0
+        return d, s, beta, 0.0, s_add_req, h, 0.0, INFEASIBLE, False, 1, warm
     if h <= 1e-9:
         # collapsed tank current (H is rounding noise): no frequency
         # reaches any positive power
         return d, s, beta, 0.0, s_add_req, h, 0.0, UNREACHABLE, False, 1, \
-            -1.0, 0.0
+            warm
 
     omega = omega_from_impedance(hz_split(h, w_ref, ratio), ind, cap)
     if omega <= omega_max * (1.0 + 1e-12):
         return d, s, beta, omega, s_add_req, h, w_ref, OK_ANALYTIC, False, \
-            1, -1.0, 0.0
+            1, warm
 
     # low-power branch at fixed omega_max; W is linear in H at fixed Z
     z_max = tank_impedance(omega_max, ind, cap)
     h_target = w_ref / hz_split(1.0, z_max, ratio)
-    a, b, bound, n = -1.0, 4.0, -1.0, 0
+    a, b, bound, slope, n = -1.0, 4.0, -1.0, 0.0, 0
     fallback = False
-    if s_prev >= 0.0:
+    if warm is not None:
+        s_prev, s_peak, slope = warm
         bound, n = _last_peak(sigma_ref, delta_ref, s_add_req, gain,
                               sigma_reg, delta_reg, s_peak)
         a, b, slope, m = _warm_bracket(
@@ -553,15 +558,13 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
         n += m
         if a < 0.0:
             a, b, fallback = -1.0, 4.0, True
-    else:
-        slope = 0.0
     s_used, m = _scan_root(sigma_ref, delta_ref, s_add_req, gain, sigma_reg,
                            delta_reg, h_target, a, b)
     d, s, beta, h, _ok, _boost = regulated_point(
         sigma_ref, delta_ref, s_used, gain, sigma_reg, delta_reg)
     w_achieved = hz_split(h, z_max, ratio)
-    status = OK_LOWPOWER
     if abs(w_achieved - w_ref) > W_REL_TOL * w_ref:
-        status = UNREACHABLE
-    return d, s, beta, omega_max, s_used, h, w_achieved, status, fallback, \
-        n + m + 2, bound, slope
+        return d, s, beta, omega_max, s_used, h, w_achieved, UNREACHABLE, \
+            fallback, n + m + 2, warm
+    return d, s, beta, omega_max, s_used, h, w_achieved, OK_LOWPOWER, \
+        fallback, n + m + 2, (s_used, bound, slope)

@@ -145,6 +145,9 @@ class ScenarioConfig:
             raise ValueError("i_ref_slew must be positive")
         if self.sensor_tau < 0:
             raise ValueError("sensor_tau must be non-negative")
+        if self.noise_std_angle < 0 or self.noise_std_w < 0 or self.seed < 0:
+            raise ValueError(
+                "noise_std_angle, noise_std_w, seed must be non-negative")
 
 
 def pack_voltage(charge_ah: float, cfg: ScenarioConfig) -> float:
@@ -233,8 +236,8 @@ def run_scenario(cfg: ScenarioConfig,
 
     The scenario traverses low-power buck (during the current ramp),
     regular buck, boost past G = 1 and finally low-power boost as the CV
-    stage tapers the current.  Each low-power solve is warm-started
-    from the previous one (PowerSolution.warm, see solve_controls).
+    stage tapers the current.  Each step passes sol.warm to the next
+    solve, which warm-starts the low-power ones (see solve_controls).
 
     Raises:
         ScenarioAbort: when the controller signals unreachable power or
@@ -273,7 +276,7 @@ def run_scenario(cfg: ScenarioConfig,
         col_s_add, col_w = data.values()
     trace = Trace(data=data, steps=0, cfg=cfg,
                   beta_offset=uncertainties.beta_offset)
-    warm = None     # low-power solver state, kept while solves hand none on
+    warm = None     # low-power solver state: sol.warm of the last step
 
     tank, v_in, v_cv = cfg.tank, cfg.v_in, cfg.v_cv
     i_ref = 0.0
@@ -294,7 +297,7 @@ def run_scenario(cfg: ScenarioConfig,
         w_ref = i_ref / v_in
 
         try:
-            params, s_add, _w, _low, warm_next = parallel_step(
+            params, s_add, _w, _low, warm = parallel_step(
                 refs, w_ref, lag_sigma.state, lag_delta.state, lag_w.state,
                 pi_sigma, pi_delta, pi_w, gain, tank, warm=warm)
             w_true, sigma_true, delta_true = plant_step(
@@ -320,9 +323,6 @@ def run_scenario(cfg: ScenarioConfig,
         lag_delta.step(delta_m)
 
         charge = battery_step(charge, i_out, cfg)
-
-        if warm_next is not None:
-            warm = warm_next
 
         col_i_ref[step], col_v_bat[step] = i_ref, v_bat
         col_d[step], col_s[step], col_beta[step], col_omega[step] = params

@@ -88,23 +88,25 @@ class Schema:
             return self.defaults[key]
         raw = self.values[key]
         kind = type(self.defaults[key])
-        try:
-            if kind is int:
-                return int(raw)
-            if kind is float:
-                return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
-        return raw
+        return _parse(key, raw, kind) if kind in (int, float) else raw
 
     def floats(self, key: str) -> List[float]:
         raw = self.values.get(key, self.defaults[key])
         if isinstance(raw, str):
-            try:
-                return [float(x) for x in raw.split(",") if x.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
+            return [_parse(key, x, float) for x in raw.split(",")
+                    if x.strip()]
         return list(raw)
+
+
+def _parse(key: str, raw: str, kind: type):
+    """raw as a finite int or float; NaN and infinities are rejected."""
+    try:
+        value = kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {raw!r} is not finite")
+    return value
 
 
 def _linspace(start: float, stop: float, steps: int) -> List[float]:

@@ -90,7 +90,7 @@ def parallel_step(refs: ControlReferences, w_ref: float, sigma_meas: float,
                   delta_meas: float, w_meas: float, pi_sigma: PiController,
                   pi_delta: PiController, pi_w: PiController, gain: float,
                   tank: TankConfig,
-                  warm: tuple[float, ...] | None = None) -> PowerSolution:
+                  warm: tuple | None = None) -> PowerSolution:
     """Parallel nonlinear compensation step.
 
     The PI actions are added to the outputs of the combined inversion
@@ -98,8 +98,7 @@ def parallel_step(refs: ControlReferences, w_ref: float, sigma_meas: float,
     in that order), while the frequency and s_add come from the series
     power solve.  A series PI on W trims the power request from the W
     measurement (PiController(0.0, 0.0, dt) leaves W* >= 0 as it is).
-    warm is passed on to solve_controls: the previous step's
-    ``PowerSolution.warm``.
+    warm is passed on to solve_controls: pass sol.warm to the next step.
 
     Raises:
         InfeasibleReferenceError, UnreachablePowerError: propagated from

@@ -36,17 +36,13 @@ class PowerSolution(NamedTuple):
     scan result, otherwise it equals the request exactly.  achieved_w is
     the W at the reference angles, which the forward model at params
     confirms only at zero corrections (see solve_controls).  warm is
-    what to pass as ``warm`` to the next solve_controls call:
-    (s_add, s_peak, slope) after a low-power solve of W* > 0, None
-    otherwise; slope is dH/ds near s_add, or 0.0 when not known.  A
-    2-tuple (s_add, s_peak) still warm-starts, without the Newton step
-    that slope allows.
+    the low-power solver's state: pass sol.warm to the next solve.
     """
     params: SwitchingParams
     s_add: float
     achieved_w: float
     low_power: bool
-    warm: Optional[Tuple[float, ...]] = None
+    warm: Optional[tuple] = None
 
 
 def gain_term_h(refs: ControlReferences, gain: float) -> float:
@@ -141,8 +137,7 @@ def s_add_zero_boundary(refs: ControlReferences, gain: float) -> float:
 def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
                    tank: TankConfig,
                    corrections: Tuple[float, float] = (0.0, 0.0),
-                   warm: Optional[Tuple[float, ...]] = None
-                   ) -> PowerSolution:
+                   warm: Optional[tuple] = None) -> PowerSolution:
     """Full control solve: references plus power request to
     (d, s, beta, omega, s_add).
 
@@ -153,18 +148,12 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     rightmost crossing, which lies on the monotone branch of the dimming
     curve (past s_add0, skipping the non-monotonic region in one
     discontinuous step).  W* = 0 maps to a fully shorted secondary
-    (s = pi) rather than an error; it is a low-power result that hands
-    no warm state on.
+    (s = pi) rather than an error.
 
-    warm, the ``warm`` field of the previous step's solution, starts the
-    low-power search from the previous root: it tracks the last local
-    maximum of max(H, 0), right of which max(H, 0) is non-increasing,
-    brackets the crossing there, first moving the previous root by one
-    Newton step on the carried slope, and narrows the bracket by regula
-    falsi, which finds the scan's s_add with 9 to 11 H evaluations
-    instead of about 240.  When the crossing cannot be certified on
-    that monotone branch the full scan runs instead.
-    Without warm (the default) every low-power solve is the full scan.
+    warm starts the low-power search from an earlier solve: pass sol.warm
+    to the next solve.  It then finds the scan's s_add with 9 to 11 H
+    evaluations instead of about 240 (see _kernels).  Without warm (the
+    default) every low-power solve is the full scan.
 
     achieved_w is the W of H at the reference angles sigma*, delta*; the
     forward model at the returned params confirms it only at zero
@@ -178,18 +167,11 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     if w_ref < 0:
         raise ValueError("W* must be non-negative")
     sigma_reg, delta_reg = corrections
-    # unpacked here, not passed on as *warm: a starred call costs about
-    # 0.2 us more per control step
-    if warm is None:
-        warm = (-1.0, -1.0, 0.0)    # the full scan
-    elif len(warm) == 2:
-        warm = (*warm, 0.0)         # no slope: no Newton step
-    s_prev, s_peak, slope = warm
     d, s, beta, omega, s_used, h, w_got, status, _fallback, _evals, \
-        s_peak, slope = k.solve_controls_scan(
+        warm = k.solve_controls_scan(
             refs.sigma_ref, refs.delta_ref, refs.s_add, gain, w_ref,
             sigma_reg, delta_reg, tank.inductance, tank.capacitance,
-            tank.turns_ratio, tank.omega_max, s_prev, s_peak, slope)
+            tank.turns_ratio, tank.omega_max, warm)
     if status == k.INFEASIBLE:
         raise InfeasibleReferenceError(
             f"corrected references not invertible at G={gain}")
@@ -197,8 +179,5 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
         raise UnreachablePowerError(
             f"W*={w_ref} unreachable at omega_max with references "
             f"(sigma*={refs.sigma_ref}, delta*={refs.delta_ref})")
-    low_power = status == k.OK_LOWPOWER
     return PowerSolution(SwitchingParams(d, s, beta, omega), s_used, w_got,
-                         low_power,
-                         (s_used, s_peak, slope) if low_power and w_ref > 0
-                         else None)
+                         status == k.OK_LOWPOWER, warm)

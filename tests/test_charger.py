@@ -123,6 +123,15 @@ def short_config(**kw):
     return ScenarioConfig(**defaults)
 
 
+class TestScenarioConfig:
+    @pytest.mark.parametrize("name", ["noise_std_angle", "noise_std_w",
+                                      "seed"])
+    def test_negative_noise_or_seed_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: -1})
+        ScenarioConfig(**{name: 0})
+
+
 class TestRunScenario:
     def test_deterministic(self):
         cfg = short_config()
@@ -198,6 +207,25 @@ class TestRunScenario:
         tr = run_scenario(ScenarioConfig(duration=0.2, i_ref_slew=200.0))
         assert 0.0 < np.mean(tr["s_add"] > 0) < 1.0   # both solve branches
         assert calls == {name: tr.steps for _module, name in hooks}
+
+    def test_each_step_gets_the_warm_state_of_the_last(self, monkeypatch):
+        # the loop passes sol.warm to the next solve whatever the solve
+        # was, analytic and W* = 0 ones included
+        step = dbsrc.charger.parallel_step
+        given, returned = [], []
+
+        def wrapper(*args, warm):
+            given.append(warm)
+            sol = step(*args, warm=warm)
+            returned.append(sol.warm)
+            return sol
+
+        monkeypatch.setattr(dbsrc.charger, "parallel_step", wrapper)
+        tr = run_scenario(ScenarioConfig(duration=0.3))
+        assert len(given) == tr.steps and given[0] is None
+        for i in range(1, tr.steps):
+            assert given[i] is returned[i - 1], i
+        assert len({id(warm) for warm in returned}) > 100
 
     def test_abort_on_collapsed_references(self):
         # sigma* = 0 at G = 1 collapses the tank current; with the

@@ -229,8 +229,18 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert text == ""
 
-    def test_invalid_physical_value_rejected(self, tmp_path):
-        code, text = run_cmd(tmp_path, "charge", "--set", "L=-1")
+    @pytest.mark.parametrize("case", [
+        "charge L=-1", "charge v_cv=nan", "charge w_kp=nan",
+        "charge sigma_ki=inf", "charge dt=nan", "charge duration=inf",
+        "charge sensor_tau=nan", "charge beta_offset=inf",
+        "charge seed=-1 noise_std_w=1e-5", "map gain=nan",
+    ], ids=lambda case: case.replace(" ", "-"))
+    def test_invalid_physical_value_rejected(self, tmp_path, case):
+        command, *settings = case.split()
+        args = [command]
+        for setting in settings:
+            args += ["--set", setting]
+        code, text = run_cmd(tmp_path, *args)
         assert code == EXIT_CONFIG
 
     def test_config_file_with_overrides(self, tmp_path):

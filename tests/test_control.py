@@ -181,17 +181,20 @@ class TestParallelStep:
 
     def test_power_request_clamped_at_zero(self):
         # a W measurement far above W* drives W* + PI(W* - W_meas) below
-        # zero: the solve runs at W* = 0, low power, with no warm state
+        # zero: the solve runs at W* = 0, low power, and hands the warm
+        # state it was given on
         dt = 1e-4
         pis = [PiController(0.5, 200.0, dt, -0.5, 0.5) for _ in range(4)]
         pi_w = PiController(6.0, 5000.0, dt, -0.25, 0.25)
+        warm = (2.0, 2.5, -0.3)
         sol = parallel_step(refs(), 0.01, 0.12, 0.01, 1.0, pis[0], pis[1],
-                            pi_w, 0.7, TANK, warm=(2.0, 2.5, -0.3))
+                            pi_w, 0.7, TANK, warm=warm)
         assert sol.low_power
-        assert sol.warm is None
+        assert sol.warm is warm
         assert sol.achieved_w == 0.0
         corrections = (pis[2].step(0.1 - 0.12), pis[3].step(0.0 - 0.01))
-        assert sol == solve_controls(refs(), 0.7, 0.0, TANK, corrections)
+        assert sol == solve_controls(refs(), 0.7, 0.0, TANK, corrections,
+                                     warm)
 
     def test_beta_offset_rejected(self):
         # plant applies beta - 0.1; delta converges to delta* and the beta

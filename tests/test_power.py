@@ -172,31 +172,43 @@ class TestSolveControls:
 
     def test_zero_reference_hands_no_warm_state_on(self):
         # W* = 0 is a low-power result, but its s_add = pi is no root of
-        # the dimming curve to start the next low-power search from
+        # the dimming curve to start the next low-power search from: it
+        # hands on the warm state it was given
         r = refs(0.1, 0.0)
-        sol = solve_controls(r, 0.7, 0.0, TANK, warm=(1.0, 2.0))
+        warm = (1.0, 2.0, 0.0)
+        sol = solve_controls(r, 0.7, 0.0, TANK, warm=warm)
         assert sol.low_power
-        assert sol.warm is None
+        assert sol.warm is warm
         h0 = gain_term_h(r, 0.7)
         w0 = TANK.turns_ratio * h0 / (
             2 * math.pi ** 2 * tank_impedance(TANK.omega_max, TANK))
         assert solve_controls(r, 0.7, w0 / 2, TANK).warm is not None
 
-    def test_warm_state_of_two_or_three_elements(self):
-        # a low-power solve hands (s_add, s_peak, slope) on; the 2-tuple
-        # of an older caller still warm-starts, without the Newton step
+    def test_warm_state_of_three_elements(self):
+        # a low-power solve hands (s_add, s_peak, slope) on, and the next
+        # solve warm-starts from it
         r = refs(0.1, 0.0)
         h0 = gain_term_h(r, 0.7)
         w0 = TANK.turns_ratio * h0 / (
             2 * math.pi ** 2 * tank_impedance(TANK.omega_max, TANK))
-        first = solve_controls(r, 0.7, w0 / 2, TANK, warm=(1.0, -1.0))
+        first = solve_controls(r, 0.7, w0 / 2, TANK, warm=(1.0, -1.0, 0.0))
         assert len(first.warm) == 3 and first.warm[2] < 0.0
         cold = solve_controls(r, 0.7, 0.45 * w0, TANK)
-        for warm in (first.warm, first.warm[:2]):
-            sol = solve_controls(r, 0.7, 0.45 * w0, TANK, warm=warm)
-            assert sol[:4] == cold[:4]
-            assert sol.warm[:2] != cold.warm[:2]    # s_peak: a warm solve
-            assert sol.warm[2] < 0.0
+        sol = solve_controls(r, 0.7, 0.45 * w0, TANK, warm=first.warm)
+        assert sol[:4] == cold[:4]
+        assert sol.warm[:2] != cold.warm[:2]    # s_peak: a warm solve
+        assert sol.warm[2] < 0.0
+
+    def test_analytic_solve_hands_the_warm_state_on(self):
+        # an analytic solve does not touch the low-power state
+        r = refs(0.1, 0.0)
+        h0 = gain_term_h(r, 0.7)
+        w0 = TANK.turns_ratio * h0 / (
+            2 * math.pi ** 2 * tank_impedance(TANK.omega_max, TANK))
+        warm = (1.0, 2.0, -0.5)
+        sol = solve_controls(r, 0.7, 2 * w0, TANK, warm=warm)
+        assert not sol.low_power
+        assert sol.warm is warm
 
     def test_solution_record_fields(self):
         sol = solve_controls(refs(0.1, 0.0), 0.7, 0.02, TANK)

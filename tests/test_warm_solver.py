@@ -65,20 +65,20 @@ def test_warm_solve_returns_the_scan_root_or_falls_back(
     assume(cold[7] == k.OK_LOWPOWER)
     # the previous step: W* a few percent away, warm-started from nothing
     prev = k.solve_controls_scan(*with_w(args, args[4] * math.exp(w_step)),
-                                 1.0, -1.0)
+                                 (1.0, -1.0, 0.0))
     assume(prev[7] == k.OK_LOWPOWER)
     s_prev = min(max(prev[4] + root_shift, 0.0), math.pi)
-    s_peak = -1.0 if peak_shift is None or prev[10] < 0 \
-        else prev[10] + peak_shift * k.SCAN_STEP
+    s_peak = -1.0 if peak_shift is None or prev[10][1] < 0 \
+        else prev[10][1] + peak_shift * k.SCAN_STEP
     if slope is None:
-        slope = prev[11]
-    warm = k.solve_controls_scan(*args, s_prev, s_peak, slope)
+        slope = prev[10][2]
+    warm = k.solve_controls_scan(*args, (s_prev, s_peak, slope))
     assert warm[7] == cold[7]
     assert warm[9] >= 1
     if not warm[8]:
         assert warm[:7] == cold[:7]
-        assert 0.0 <= warm[10] <= math.pi
-        assert warm[11] < 0.0
+        assert 0.0 <= warm[10][1] <= math.pi
+        assert warm[10][2] < 0.0
 
 
 @SETTINGS
@@ -87,7 +87,7 @@ def test_dimming_curve_is_non_increasing_right_of_the_peak_bound(args):
     """max(H, 0) never rises on [s_peak, pi]; the warm solve only accepts
     positive-target crossings there, so this makes them unique."""
     sigma_ref, delta_ref, _s, gain, _w, sigma_reg, delta_reg = args[:7]
-    bound = k.solve_controls_scan(*args, 1.0, -1.0)[10]
+    bound = k.solve_controls_scan(*args, (1.0, -1.0, 0.0))[10][1]
     assume(bound >= 0.0)
     xs = np.linspace(bound, math.pi, 1500)
     h = np.maximum([k.regulated_point(sigma_ref, delta_ref, x, gain,
@@ -101,7 +101,7 @@ def test_no_warm_state_is_the_cold_scan():
             TANK.capacitance, TANK.turns_ratio, TANK.omega_max)
     out = k.solve_controls_scan(*args)
     assert out[7] == k.OK_LOWPOWER
-    assert out[8:] == (False, out[9], -1.0, 0.0)
+    assert out[8:] == (False, out[9], (out[4], -1.0, 0.0))
     assert out[9] > 100        # every grid point right of the root
 
 
@@ -134,7 +134,7 @@ def test_warm_scenario_equals_cold_scenario(cfg, monkeypatch):
     def scan(*args):
         out = SOLVE_CONTROLS_SCAN(*args)
         fallbacks.append(out[8])
-        warm_starts.append(args[11] >= 0)   # s_prev of a warm state
+        warm_starts.append(args[11] is not None)   # a warm state
         return out
 
     monkeypatch.setattr(k, "solve_controls_scan", scan)
