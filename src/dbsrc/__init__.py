@@ -18,8 +18,7 @@ from .inversion import (ControlReferences, InversionResult, Mode,
                         beta_zero_maps, fully_driven_maps, invert_alignment,
                         linearized_inverse, q_combine, q_from_references,
                         q_split, try_invert_alignment)
-from .model import (AlignmentAngles, HarmonicCoefficients, SwitchingParams,
-                    TankConfig, alignment_angles, harmonic_coefficients,
+from .model import (SwitchingParams, TankConfig, alignment_angles,
                     sync_rect_residual, tank_current_amplitude,
                     tank_impedance, transconductance)
 from .power import (PowerSolution, frequency_from_impedance,
@@ -34,10 +33,8 @@ NUMBA_ENABLED = False
 __all__ = [
     "NUMBA_ENABLED", "__version__",
     # model
-    "TankConfig", "SwitchingParams", "AlignmentAngles",
-    "HarmonicCoefficients", "harmonic_coefficients", "alignment_angles",
-    "tank_impedance", "transconductance", "tank_current_amplitude",
-    "sync_rect_residual",
+    "TankConfig", "SwitchingParams", "alignment_angles", "tank_impedance",
+    "transconductance", "tank_current_amplitude", "sync_rect_residual",
     # inversion
     "ControlReferences", "InversionResult", "Mode", "invert_alignment",
     "try_invert_alignment", "q_combine", "q_split", "q_from_references",

@@ -60,24 +60,6 @@ INFEASIBLE = 2
 UNREACHABLE = 3
 
 
-def clamped_acos(x):
-    """acos with a small tolerance band around [-1, 1].
-
-    Returns (value, ok).  Arguments within ACOS_CLAMP_TOL of the domain
-    are clamped (boundary operating points are legitimate); anything
-    further out is reported as infeasible.
-    """
-    if x > 1.0:
-        if x > 1.0 + ACOS_CLAMP_TOL:
-            return 0.0, False
-        x = 1.0
-    elif x < -1.0:
-        if x < -1.0 - ACOS_CLAMP_TOL:
-            return 0.0, False
-        x = -1.0
-    return math.acos(x), True
-
-
 def harmonic_ab(d, s, beta, gain):
     """First-harmonic coefficients of the bridge voltage difference.
 
@@ -133,88 +115,40 @@ def hz_split(h, w_or_z, ratio):
     return ratio * h / (2.0 * PI ** 2 * w_or_z)
 
 
-def transconductance_point(d, s, beta, omega, gain, ind, cap, ratio):
-    """Transconductance W at one switching point (see w_from_amplitude).
-
-    Returns (w, ok); ok is False below resonance (Z <= 0).  The
-    collapsed point returns w = 0 exactly.
-    """
-    z = tank_impedance(omega, ind, cap)
-    if z <= 0.0:
-        return 0.0, False
-    amp, _sigma, delta, degenerate = forward_point(d, s, beta, gain)
-    if degenerate:
-        return 0.0, True
-    return w_from_amplitude(amp, s, delta, z, ratio), True
-
-
-def q_reference(sigma_ref, delta_ref, s_add, gain):
-    """Combined duty variable q for the references, and the d of the
-    exact inverse on the q > pi side.
-
-    Buck: q = acos(cos(sigma*) - G cos(delta*) - G cos(delta*+s_add))
-    + sigma*; boost: q = 2 pi - acos(cos(delta*) - (2/G) cos(sigma*))
-    - delta* + s_add.  Branch selected by the generalized buck test
-    2 cos(sigma*) >= G cos(delta* + s_add) + G cos(delta*).
-
-    The boost d keeps the alignment at s = q - pi:
-    d = acos(cos(sigma*) - G cos(delta* + s) - G cos(delta*)) + sigma*,
-    clamped to [0, pi].  Buck points have q <= pi, where the split takes
-    d = q; their d is reported as pi.  feasible also requires the boost
-    d to exist.  regulated_point writes this map out in its own frame.
-
-    Returns (q, d, is_boost, feasible).
-    """
-    cs, cd = math.cos(sigma_ref), math.cos(delta_ref)
-    cds = math.cos(delta_ref + s_add)
-    is_boost = 2.0 * cs < gain * (cds + cd)
-    if is_boost:
-        val, ok = clamped_acos(cd - 2.0 * cs / gain)
-        if not ok:
-            return 0.0, PI, True, False
-        q = TWO_PI - val - delta_ref + s_add
-        if s_add == 0.0:
-            # at s = s_min the acos argument is -cos(sigma*) analytically;
-            # evaluating it numerically loses ~sqrt(eps) near the acos
-            # endpoint, so take the exact root directly, which is pi
-            # itself (the paper's d = pi split) for sigma* >= 0
-            d = PI if sigma_ref >= 0.0 else PI + sigma_ref - abs(sigma_ref)
-        else:
-            val, ok = clamped_acos(cs - gain * math.cos(delta_ref + (q - PI))
-                                   - gain * cd)
-            d = val + sigma_ref
-            ok = ok and -RANGE_TOL <= d <= PI + RANGE_TOL
-            d = min(max(d, 0.0), PI)
-        return q, d, True, ok and -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
-    val, ok = clamped_acos(cs - gain * cd - gain * cds)
-    if not ok:
-        return 0.0, PI, False, False
-    q = val + sigma_ref
-    return q, PI, False, -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
-
-
 def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     """The inverse map: references and regulator corrections ->
-    commutation parameters, feasibility and the angle factor H.
+    commutation parameters, feasibility and the angle factor H.  This is
+    the library's one q map.
 
-    q, the boost d and feasibility are q_reference's; the external
-    controller actions are added (q += sigma_reg, beta += delta_reg),
-    q is clamped to [0, 2 pi] and beta to [-pi, pi], and q is split
-    into (d, s): (q, s_add) while q <= pi, else (boost d, q - pi).  The
-    point is feasible when the references are and the in-phase
-    coefficient A of harmonic_ab is at least A_MIN there.
-    H = A * (cos(s + delta*) + cos(delta*)) / cos(sigma*), and 0.0
-    wherever the point is infeasible.
+    The combined duty variable is, on the buck branch,
+    q = acos(cos sigma* - G cos delta* - G cos(delta* + s_add)) + sigma*,
+    and on the boost branch
+    q = 2 pi - acos(cos delta* - (2/G) cos sigma*) - delta* + s_add; the
+    generalized buck test 2 cos sigma* >= G cos(delta* + s_add)
+    + G cos delta* selects the branch.  An acos argument within
+    ACOS_CLAMP_TOL past [-1, 1] is clamped, one further out makes the
+    references infeasible, and q must lie within RANGE_TOL of [0, 2 pi].
+    The boost d keeps the alignment at s = q - pi:
+    d = acos(cos sigma* - G cos(delta* + s) - G cos delta*) + sigma*,
+    which must exist within RANGE_TOL of [0, pi] and is clamped to it.
+
+    The external controller actions are then added (q += sigma_reg,
+    beta += delta_reg), q is clamped to [0, 2 pi] and beta to [-pi, pi],
+    and q is split into (d, s): (q, s_add) while q <= pi, else
+    (boost d, q - pi).  The point is feasible when the references are
+    and the in-phase coefficient A of harmonic_ab is at least A_MIN
+    there.  H = A * (cos(s + delta*) + cos(delta*)) / cos(sigma*), and
+    0.0 wherever the point is infeasible.
 
     One Python frame, because H runs for every point of the low-power
-    scan, where each call shows: the q map with clamped_acos's tolerance
-    tests, the split and A are written out here in q_reference's
-    operation order, and cos sigma*, cos delta* and cos(delta* + s_add)
-    are taken once, the last serving as cos(s + delta*) when s is s_add.
-    On perfbench's charge-trickle workload (pure Python, Python 3.11,
-    two shared vCPUs) the median time_s of ten alternating pairs went
-    from 0.422 s, calling q_reference, clamped_acos and a split helper,
-    to 0.357 s (BENCH_13.json).  A test pins it to that composition.
+    scan, where each call shows: cos sigma*, cos delta* and
+    cos(delta* + s_add) are taken once, the last serving as
+    cos(s + delta*) when s is s_add.  On perfbench's charge-trickle
+    workload (pure Python, Python 3.11, two shared vCPUs) the median
+    time_s of ten alternating pairs went from 0.422 s, with the q map,
+    the acos clamp and the split as three functions, to 0.357 s
+    (BENCH_13.json).  tests/test_inversion.py pins this frame to that
+    composition.
 
     Returns (d, s, beta, h, feasible, is_boost).
     """
@@ -235,7 +169,10 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     elif is_boost:
         q = TWO_PI - math.acos(x) - delta_ref + s_add
         if s_add == 0.0:
-            # see q_reference: the exact root at s = s_min
+            # at s = s_min the acos argument is -cos(sigma*) analytically;
+            # evaluating it numerically loses ~sqrt(eps) near the acos
+            # endpoint, so take the exact root directly, which is pi
+            # itself (the paper's d = pi split) for sigma* >= 0
             d = PI if sigma_ref >= 0.0 else PI + sigma_ref - abs(sigma_ref)
         else:
             x = cs - gain * math.cos(delta_ref + (q - PI)) - gain * cd

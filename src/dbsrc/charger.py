@@ -133,19 +133,21 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.v_in <= 0 or self.i_cc <= 0 or self.v_cv <= 0:
+        # written as "not x > 0" so that NaN fails every check
+        if not (self.v_in > 0 and self.i_cc > 0 and self.v_cv > 0):
             raise ValueError("v_in, i_cc, v_cv must be positive")
-        if self.dt <= 0 or self.duration <= 0 or self.time_scale <= 0:
+        if not (self.dt > 0 and self.duration > 0 and self.time_scale > 0):
             raise ValueError("dt, duration, time_scale must be positive")
-        if self.capacity_ah <= 0:
+        if not self.capacity_ah > 0:
             raise ValueError("capacity must be positive")
-        if self.v_full < self.v_empty:
+        if not self.v_full >= self.v_empty:
             raise ValueError("v_full must be >= v_empty")
-        if self.i_ref_slew <= 0:
+        if not self.i_ref_slew > 0:
             raise ValueError("i_ref_slew must be positive")
-        if self.sensor_tau < 0:
+        if not self.sensor_tau >= 0:
             raise ValueError("sensor_tau must be non-negative")
-        if self.noise_std_angle < 0 or self.noise_std_w < 0 or self.seed < 0:
+        if not (self.noise_std_angle >= 0 and self.noise_std_w >= 0
+                and self.seed >= 0):
             raise ValueError(
                 "noise_std_angle, noise_std_w, seed must be non-negative")
 

@@ -126,25 +126,20 @@ def q_split(q: float, s_add: float) -> Tuple[float, float]:
 
 
 def q_from_references(refs: ControlReferences, gain: float) -> Tuple[float, Mode]:
-    """Duty variable q straight from the references.
+    """Duty variable q straight from the references: q_combine of the
+    exact inverse, the q of _kernels.regulated_point clamped to
+    [0, 2 pi].
 
     Buck: q = acos(cos sigma* - G cos delta* - G cos(delta*+s_add))
     + sigma* (principal branch); boost:
     q = 2 pi - acos(cos delta* - (2/G) cos sigma*) - delta* + s_add.
 
     Raises:
-        InfeasibleReferenceError: on an acos domain violation, or
-            when a boost point has no d in [0, pi] that keeps the
-            alignment.
+        InfeasibleReferenceError: exactly where invert_alignment does.
     """
-    if gain <= 0:
-        raise ValueError("gain must be positive")
-    q, _d, is_boost, feasible = k.q_reference(
-        refs.sigma_ref, refs.delta_ref, refs.s_add, gain)
-    if not feasible:
-        raise InfeasibleReferenceError(
-            f"references not representable as q at G={gain}")
-    return q, Mode.BOOST if is_boost else Mode.BUCK
+    result = invert_alignment(refs, gain)
+    return q_combine(result.params.d, result.params.s, result.mode), \
+        result.mode
 
 
 def fully_driven_maps(gain: float, g_star: float) -> Tuple[float, float]:

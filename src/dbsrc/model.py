@@ -2,10 +2,10 @@
 converter.
 
 The forward plant map: given PWM commutation parameters (d, s, beta,
-omega), voltage gain G and the tank (L, C, n), compute the harmonic
-coefficients A, B, the waveform-alignment angles sigma = atan2(B, A) and
-delta = beta - sigma, the tank current amplitude and the output
-transconductance W = I_out / V_in.
+omega), voltage gain G and the tank (L, C, n), compute the
+waveform-alignment angles sigma = atan2(B, A) and delta = beta - sigma
+from the harmonic coefficients A, B (_kernels.harmonic_ab), the tank
+current amplitude and the output transconductance W = I_out / V_in.
 
 All operations are pure functions of their arguments.  Angles are plain
 radians; no wrapping is performed, callers supply beta in [-pi, pi].
@@ -13,12 +13,10 @@ radians; no wrapping is performed, callers supply beta in [-pi, pi].
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from . import _kernels as k
 from .errors import BelowResonanceError, DegenerateTankCurrentError
-
-DEGENERATE_AMP_SQ = k.DEGENERATE_AMP_SQ
 
 
 @dataclass(frozen=True)
@@ -38,11 +36,11 @@ class TankConfig:
     omega_max: float
 
     def __post_init__(self):
-        if self.inductance <= 0 or self.capacitance <= 0:
+        if not (self.inductance > 0 and self.capacitance > 0):
             raise ValueError("L and C must be positive")
-        if self.turns_ratio <= 0:
+        if not self.turns_ratio > 0:
             raise ValueError("turns ratio must be positive")
-        if self.omega_max <= self.omega_resonant:
+        if not self.omega_max > self.omega_resonant:
             raise ValueError("omega_max must exceed the resonant frequency")
 
     @property
@@ -81,86 +79,60 @@ class SwitchingParams(_SwitchingFields):
             raise ValueError(f"s out of [0, pi]: {s}")
         if not -math.pi - tol <= beta <= math.pi + tol:
             raise ValueError(f"beta out of [-pi, pi]: {beta}")
-        if omega is not None and omega <= 0:
+        if omega is not None and not omega > 0:
             raise ValueError("omega must be positive")
         return tuple.__new__(cls, (d, s, beta, omega))
 
 
-@dataclass(frozen=True)
-class AlignmentAngles:
-    """Measurable waveform-alignment pair.
+def alignment_angles(p: SwitchingParams, gain: float) -> Tuple[float, float]:
+    """Waveform-alignment pair (sigma, delta) at gain G.
 
-    sigma: angle from the input-bridge positive rising edge to the tank
-    current zero crossing; delta: angle from the zero crossing to the
-    output-bridge positive rising edge.  sigma + delta = beta.
-    """
-    sigma: float
-    delta: float
-
-
-@dataclass(frozen=True)
-class HarmonicCoefficients:
-    """First-harmonic coefficients (A, B) of the voltage applied to the
-    tank, in the factor-4 normalization."""
-    a: float
-    b: float
-
-    @property
-    def amplitude_sq(self) -> float:
-        return self.a * self.a + self.b * self.b
-
-    @property
-    def degenerate(self) -> bool:
-        """True at the tank-current collapse point (A = B = 0)."""
-        return self.amplitude_sq < DEGENERATE_AMP_SQ
-
-
-def harmonic_coefficients(p: SwitchingParams, gain: float) -> HarmonicCoefficients:
-    """A = 4 sin d + 4 G sin(beta+s) + 4 G sin beta,
-    B = 4 - 4 G cos(beta+s) - 4 G cos beta - 4 cos d."""
-    a, b = k.harmonic_ab(p.d, p.s, p.beta, gain)
-    return HarmonicCoefficients(a, b)
-
-
-def alignment_angles(c: HarmonicCoefficients, beta: float) -> AlignmentAngles:
-    """sigma = atan2(B, A), delta = beta - sigma.
+    sigma = atan2(B, A) is the angle from the input-bridge positive
+    rising edge to the tank current zero crossing, delta = beta - sigma
+    the angle from the zero crossing to the output-bridge positive
+    rising edge.
 
     Raises:
         DegenerateTankCurrentError: at the collapse point A = B = 0,
             where the zero-crossing angle is physically undefined.
     """
-    if c.degenerate:
+    _amp, sigma, delta, degenerate = k.forward_point(p.d, p.s, p.beta, gain)
+    if degenerate:
         raise DegenerateTankCurrentError(
             "tank current amplitude collapsed; sigma undefined")
-    sigma = math.atan2(c.b, c.a)
-    return AlignmentAngles(sigma=sigma, delta=beta - sigma)
+    return sigma, delta
 
 
 def tank_impedance(omega: float, tank: TankConfig) -> float:
     """Series tank reactance Z(omega) = omega L - 1/(omega C)."""
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError("omega must be positive")
     return k.tank_impedance(omega, tank.inductance, tank.capacitance)
+
+
+def _impedance_above_resonance(p: SwitchingParams, tank: TankConfig) -> float:
+    """Z(p.omega), which the forward maps need positive."""
+    if p.omega is None:
+        raise ValueError("SwitchingParams.omega must be set")
+    z = tank_impedance(p.omega, tank)
+    if z <= 0:
+        raise BelowResonanceError(
+            f"Z({p.omega}) <= 0: operation below resonance is rejected")
+    return z
 
 
 def transconductance(p: SwitchingParams, gain: float, tank: TankConfig) -> float:
     """Output transconductance W = I_out / V_in.
 
     W = n/(2 pi^2) * sqrt(A^2+B^2)/Z(omega) * (cos(s+delta) + cos delta).
-    Returns exactly 0 at the collapse point.
+    Returns exactly 0 at the collapse point, where the amplitude is 0.
 
     Raises:
         BelowResonanceError: if Z(omega) <= 0.
     """
-    if p.omega is None:
-        raise ValueError("SwitchingParams.omega must be set")
-    w, ok = k.transconductance_point(
-        p.d, p.s, p.beta, p.omega, gain,
-        tank.inductance, tank.capacitance, tank.turns_ratio)
-    if not ok:
-        raise BelowResonanceError(
-            f"Z({p.omega}) <= 0: operation below resonance is rejected")
-    return w
+    z = _impedance_above_resonance(p, tank)
+    amp, _sigma, delta, _degenerate = k.forward_point(p.d, p.s, p.beta, gain)
+    return k.w_from_amplitude(amp, p.s, delta, z, tank.turns_ratio)
 
 
 def tank_current_amplitude(p: SwitchingParams, gain: float, v_in: float,
@@ -174,20 +146,13 @@ def tank_current_amplitude(p: SwitchingParams, gain: float, v_in: float,
         BelowResonanceError: if Z(omega) <= 0.
         ValueError: for G < 0 or V_in <= 0.
     """
-    if gain < 0:
+    if not gain >= 0:
         raise ValueError("gain must be non-negative")
-    if v_in <= 0:
+    if not v_in > 0:
         raise ValueError("V_in must be positive")
-    if p.omega is None:
-        raise ValueError("SwitchingParams.omega must be set")
-    z = tank_impedance(p.omega, tank)
-    if z <= 0:
-        raise BelowResonanceError(
-            f"Z({p.omega}) <= 0: operation below resonance is rejected")
-    c = harmonic_coefficients(p, gain)
-    if c.degenerate:
-        return 0.0
-    return v_in * math.sqrt(c.amplitude_sq) / (2.0 * math.pi * z)
+    z = _impedance_above_resonance(p, tank)
+    amp = k.forward_point(p.d, p.s, p.beta, gain)[0]
+    return v_in * amp / (2.0 * math.pi * z)
 
 
 def sync_rect_residual(p: SwitchingParams, gain: float) -> float:

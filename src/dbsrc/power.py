@@ -164,7 +164,7 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
         UnreachablePowerError: no s_add in [0, pi] meets the request at
             omega <= omega_max (e.g. collapsed tank current).
     """
-    if w_ref < 0:
+    if not w_ref >= 0:
         raise ValueError("W* must be non-negative")
     sigma_reg, delta_reg = corrections
     d, s, beta, omega, s_used, h, w_got, status, _fallback, _evals, \

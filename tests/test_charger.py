@@ -10,7 +10,8 @@ import dbsrc.charger
 import dbsrc.control
 from dbsrc import (ScenarioAbort, ScenarioConfig, SensorLag,
                    SwitchingParams, Uncertainties, battery_step,
-                   default_tank, pack_voltage, plant_step, run_scenario)
+                   default_tank, pack_voltage, plant_step, run_scenario,
+                   transconductance)
 from dbsrc import _kernels as k
 
 
@@ -73,12 +74,8 @@ class TestPlantStep:
     def test_zero_uncertainty_matches_model(self):
         none = Uncertainties(beta_offset=0.0, l_scale=1.0)
         w, sigma, delta = plant_step(self.p, none, self.gain, self.tank)
-        w_ok, ok = k.transconductance_point(
-            self.p.d, self.p.s, self.p.beta, self.p.omega, self.gain,
-            self.tank.inductance, self.tank.capacitance,
-            self.tank.turns_ratio)
-        assert ok
-        assert w == w_ok
+        # transconductance raises BelowResonanceError where Z <= 0
+        assert w == transconductance(self.p, self.gain, self.tank)
         _amp, sg, dl, _deg = k.forward_point(self.p.d, self.p.s, self.p.beta,
                                              self.gain)
         assert (sigma, delta) == (sg, dl)
@@ -130,6 +127,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=name):
             ScenarioConfig(**{name: -1})
         ScenarioConfig(**{name: 0})
+
+    @pytest.mark.parametrize("name", [
+        "v_in", "i_cc", "v_cv", "dt", "duration", "time_scale",
+        "capacity_ah", "v_empty", "v_full", "i_ref_slew", "sensor_tau",
+        "noise_std_angle", "noise_std_w"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**{name: math.nan})
 
 
 class TestRunScenario:

@@ -33,13 +33,59 @@ def inversion_residual(params, sigma_ref, delta_ref, gain):
         + math.cos(params.d - sigma_ref) - math.cos(sigma_ref)
 
 
+def reference_q_map(sigma_ref, delta_ref, s_add, gain):
+    """The q map that _kernels.regulated_point writes out, as a separate
+    function: q, the exact inverse's d on the q > pi side (pi on the
+    buck branch), the branch and feasibility.  The reference both
+    regulated_point and q_from_references are pinned to.
+
+    Returns (q, d, is_boost, feasible).
+    """
+    def clamped_acos(x):
+        # acos with the ACOS_CLAMP_TOL band around [-1, 1]; (value, ok)
+        if x > 1.0:
+            if x > 1.0 + k.ACOS_CLAMP_TOL:
+                return 0.0, False
+            x = 1.0
+        elif x < -1.0:
+            if x < -1.0 - k.ACOS_CLAMP_TOL:
+                return 0.0, False
+            x = -1.0
+        return math.acos(x), True
+
+    cs, cd = math.cos(sigma_ref), math.cos(delta_ref)
+    cds = math.cos(delta_ref + s_add)
+    if 2.0 * cs < gain * (cds + cd):
+        val, ok = clamped_acos(cd - 2.0 * cs / gain)
+        if not ok:
+            return 0.0, math.pi, True, False
+        q = 2.0 * math.pi - val - delta_ref + s_add
+        if s_add == 0.0:
+            d = math.pi if sigma_ref >= 0.0 \
+                else math.pi + sigma_ref - abs(sigma_ref)
+        else:
+            val, ok = clamped_acos(cs - gain * math.cos(delta_ref
+                                                        + (q - math.pi))
+                                   - gain * cd)
+            d = val + sigma_ref
+            ok = ok and -k.RANGE_TOL <= d <= math.pi + k.RANGE_TOL
+            d = min(max(d, 0.0), math.pi)
+        return q, d, True, \
+            ok and -k.RANGE_TOL <= q <= 2.0 * math.pi + k.RANGE_TOL
+    val, ok = clamped_acos(cs - gain * cd - gain * cds)
+    if not ok:
+        return 0.0, math.pi, False, False
+    q = val + sigma_ref
+    return q, math.pi, False, -k.RANGE_TOL <= q <= 2.0 * math.pi + k.RANGE_TOL
+
+
 def composed_regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg,
                              delta_reg):
     """_kernels.regulated_point as the composition it folds:
-    q_reference, the corrections and their clamps, the q split, A and
-    H."""
-    q, d, is_boost, feasible = k.q_reference(sigma_ref, delta_ref, s_add,
-                                             gain)
+    reference_q_map, the corrections and their clamps, the q split, A
+    and H."""
+    q, d, is_boost, feasible = reference_q_map(sigma_ref, delta_ref, s_add,
+                                               gain)
     beta = min(max(sigma_ref + delta_ref + delta_reg, -math.pi), math.pi)
     q = min(max(q + sigma_reg, 0.0), 2.0 * math.pi)
     d, s = (q, s_add) if q <= math.pi else (d, q - math.pi)
@@ -188,6 +234,40 @@ class TestQMaps:
         q, mode = q_from_references(refs(), 2.0)
         assert mode is Mode.BOOST
         assert q == pytest.approx(3 * math.pi / 2, abs=1e-15)
+
+    def test_q_from_references_rejects_what_the_inverse_rejects(self):
+        # A < A_MIN here, so the forward model misses the references; the
+        # q map alone reads q = 3.0001 on the buck branch
+        r = refs(0.0, -0.1, 0.0)
+        assert reference_q_map(0.0, -0.1, 0.0, 1.0)[3]
+        assert not try_invert_alignment(r, 1.0).feasible
+        with pytest.raises(InfeasibleReferenceError):
+            q_from_references(r, 1.0)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(sigma_ref=st.floats(-math.pi / 2, math.pi / 2),
+           delta_ref=st.floats(-math.pi / 2, math.pi / 2),
+           s_add=st.floats(0.0, math.pi), gain=st.floats(0.05, 3.0))
+    @example(0.0, -0.1, 0.0, 1.0)
+    @example(-0.3, 0.3, math.pi, 1.0)      # q map reads -2.2e-16
+    @example(0.3, 0.1, 0.2, 1.2)
+    def test_q_from_references_is_the_q_map_property(
+            self, sigma_ref, delta_ref, s_add, gain):
+        # where the inverse exists, q is the reference q map's, clamped to
+        # [0, 2 pi] as regulated_point clamps it (a move of at most
+        # RANGE_TOL), bit for bit and on the same branch; elsewhere it
+        # raises
+        r = refs(sigma_ref, delta_ref, s_add)
+        if not try_invert_alignment(r, gain).feasible:
+            with pytest.raises(InfeasibleReferenceError):
+                q_from_references(r, gain)
+            return
+        want, _d, is_boost, ok = reference_q_map(sigma_ref, delta_ref, s_add,
+                                                 gain)
+        assert ok
+        q, mode = q_from_references(r, gain)
+        assert q == min(max(want, 0.0), 2.0 * math.pi)
+        assert mode is (Mode.BOOST if is_boost else Mode.BUCK)
 
     def test_q_equivalence_random(self):
         # q computed directly from the references must equal q_combine of

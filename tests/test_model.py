@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dbsrc import (AlignmentAngles, BelowResonanceError,
-                   DegenerateTankCurrentError, HarmonicCoefficients,
+from dbsrc import (BelowResonanceError, DegenerateTankCurrentError,
                    SwitchingParams, TankConfig, alignment_angles,
-                   harmonic_coefficients, sync_rect_residual,
-                   tank_current_amplitude, tank_impedance, transconductance)
-from dbsrc.model import DEGENERATE_AMP_SQ
+                   sync_rect_residual, tank_current_amplitude,
+                   tank_impedance, transconductance)
+from dbsrc import _kernels as k
 
 TANK = TankConfig(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
                   omega_max=2 * math.pi * 165e3)
@@ -30,6 +29,11 @@ class TestSwitchingParamsRecord:
         (dict(d=1.0, s=0.0, beta=math.pi + 0.01), "beta out of"),
         (dict(d=1.0, s=0.0, beta=0.0, omega=0.0), "omega must be positive"),
         (dict(d=1.0, s=0.0, beta=0.0, omega=-1.0), "omega must be positive"),
+        (dict(d=math.nan, s=0.0, beta=0.0), "d out of"),
+        (dict(d=1.0, s=math.nan, beta=0.0), "s out of"),
+        (dict(d=1.0, s=0.0, beta=math.nan), "beta out of"),
+        (dict(d=1.0, s=0.0, beta=0.0, omega=math.nan),
+         "omega must be positive"),
     ])
     def test_out_of_range_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -50,36 +54,42 @@ class TestSwitchingParamsRecord:
 
 class TestHarmonicCoefficients:
     def test_collapse_point(self):
-        c = harmonic_coefficients(params(math.pi, 0.0, 0.0), 1.0)
-        assert c.amplitude_sq < DEGENERATE_AMP_SQ
-        assert c.b == 0.0
-        assert c.degenerate
+        a, b = k.harmonic_ab(math.pi, 0.0, 0.0, 1.0)
+        assert a * a + b * b < k.DEGENERATE_AMP_SQ
+        assert b == 0.0
+        assert k.forward_point(math.pi, 0.0, 0.0, 1.0)[3]
 
     def test_full_square_wave_no_load(self):
-        c = harmonic_coefficients(params(math.pi, 0.0, 0.0), 0.0)
-        assert abs(c.a) < 1e-14
-        assert c.b == pytest.approx(8.0, abs=1e-14)
+        a, b = k.harmonic_ab(math.pi, 0.0, 0.0, 0.0)
+        assert abs(a) < 1e-14
+        assert b == pytest.approx(8.0, abs=1e-14)
 
     def test_half_wave_buck(self):
-        c = harmonic_coefficients(params(math.pi / 2, 0.0, 0.0), 0.5)
-        assert c.a == pytest.approx(4.0, abs=1e-14)
-        assert c.b == pytest.approx(0.0, abs=1e-14)
+        a, b = k.harmonic_ab(math.pi / 2, 0.0, 0.0, 0.5)
+        assert a == pytest.approx(4.0, abs=1e-14)
+        assert b == pytest.approx(0.0, abs=1e-14)
 
 
 class TestAlignmentAngles:
     def test_in_phase(self):
-        ang = alignment_angles(HarmonicCoefficients(4.0, 0.0), 0.0)
-        assert ang.sigma == 0.0
-        assert ang.delta == 0.0
+        # B = 4 - 8 G - 4 cos d vanishes in floats at d = 1, G = (1 - cos 1)/2
+        # while A = 4 sin 1 > 0
+        gain = (1.0 - math.cos(1.0)) / 2.0
+        assert k.harmonic_ab(1.0, 0.0, 0.0, gain)[1] == 0.0
+        sigma, delta = alignment_angles(params(1.0, 0.0, 0.0), gain)
+        assert sigma == 0.0
+        assert delta == 0.0
 
     def test_quadrature(self):
-        ang = alignment_angles(HarmonicCoefficients(0.0, 8.0), math.pi / 2)
-        assert ang.sigma == pytest.approx(math.pi / 2, abs=1e-15)
-        assert ang.delta == pytest.approx(0.0, abs=1e-15)
+        # G = 0, d = pi: A = 4 sin pi (rounding noise), B = 8
+        sigma, delta = alignment_angles(params(math.pi, 0.0, math.pi / 2),
+                                        0.0)
+        assert sigma == pytest.approx(math.pi / 2, abs=1e-15)
+        assert delta == pytest.approx(0.0, abs=1e-15)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateTankCurrentError):
-            alignment_angles(HarmonicCoefficients(0.0, 0.0), 0.0)
+            alignment_angles(params(math.pi, 0.0, 0.0), 1.0)
 
     def test_sigma_plus_delta_is_beta(self):
         rng = np.random.default_rng(7)
@@ -88,12 +98,23 @@ class TestAlignmentAngles:
             s = rng.uniform(0, math.pi)
             beta = rng.uniform(-math.pi, math.pi)
             gain = rng.uniform(0, 2)
-            c = harmonic_coefficients(params(d, s, beta), gain)
-            if c.degenerate:
+            try:
+                sigma, delta = alignment_angles(params(d, s, beta), gain)
+            except DegenerateTankCurrentError:
                 continue
-            ang = alignment_angles(c, beta)
             # delta = beta - sigma; closure exact to rounding
-            assert abs(ang.sigma + ang.delta - beta) <= 5e-16 * max(1.0, abs(beta))
+            assert abs(sigma + delta - beta) <= 5e-16 * max(1.0, abs(beta))
+
+
+class TestTankConfig:
+    @pytest.mark.parametrize("field", ["inductance", "capacitance",
+                                       "turns_ratio", "omega_max"])
+    def test_nan_rejected(self, field):
+        kwargs = dict(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
+                      omega_max=2 * math.pi * 165e3)
+        kwargs[field] = math.nan
+        with pytest.raises(ValueError):
+            TankConfig(**kwargs)
 
 
 class TestTankImpedance:
@@ -147,7 +168,9 @@ class TestTankCurrentAmplitude:
         p = params(math.pi, 0.0, 0.0, omega=2 * math.pi * 120e3)
         assert tank_current_amplitude(p, 1.0, 600.0, TANK) == 0.0
 
-    @pytest.mark.parametrize("gain, v_in", [(-0.1, 600.0), (0.5, 0.0)])
+    @pytest.mark.parametrize("gain, v_in", [(-0.1, 600.0), (0.5, 0.0),
+                                            (math.nan, 600.0),
+                                            (0.5, math.nan)])
     def test_bad_operating_point_rejected(self, gain, v_in):
         p = params(math.pi / 2, 0.0, 0.0, omega=2 * math.pi * 120e3)
         with pytest.raises(ValueError):
@@ -178,11 +201,11 @@ class TestTankCurrentAmplitude:
             gain = rng.uniform(0.05, 2.0)
             omega = rng.uniform(tank.omega_resonant * 1.01, tank.omega_max)
             p = params(d, s, beta, omega=omega)
-            c = harmonic_coefficients(p, gain)
-            if c.degenerate:
+            try:
+                _sigma, delta = alignment_angles(p, gain)
+            except DegenerateTankCurrentError:
                 continue
-            ang = alignment_angles(c, beta)
-            denom = math.cos(s + ang.delta) + math.cos(ang.delta)
+            denom = math.cos(s + delta) + math.cos(delta)
             if abs(denom) < 1e-3:
                 continue
             w = transconductance(p, gain, tank)
@@ -214,9 +237,9 @@ class TestSyncRectResidual:
             assert abs(sync_rect_residual(p, gain)) < 1e-9
             # perturbed beta moves delta off zero: residual must move too
             p2 = params(p.d, p.s, p.beta + 0.05)
-            c2 = harmonic_coefficients(p2, gain)
-            if c2.degenerate:
+            try:
+                _sigma2, delta2 = alignment_angles(p2, gain)
+            except DegenerateTankCurrentError:
                 continue
-            ang2 = alignment_angles(c2, p2.beta)
-            if abs(ang2.delta) > 1e-3:
+            if abs(delta2) > 1e-3:
                 assert abs(sync_rect_residual(p2, gain)) > 1e-6

@@ -164,6 +164,12 @@ class TestSolveControls:
         w = transconductance(sol.params, 0.7, TANK)
         assert w == pytest.approx(w0 / 2, rel=0.01)
 
+    def test_nan_power_reference_rejected(self):
+        # NaN fails every comparison, so without the check it would run
+        # the cold scan against a NaN target
+        with pytest.raises(ValueError, match="W\\*"):
+            solve_controls(refs(0.1, 0.0), 0.7, math.nan, TANK)
+
     def test_zero_reference_full_short(self):
         sol = solve_controls(refs(0.1, 0.0), 0.7, 0.0, TANK)
         assert sol.s_add == math.pi
