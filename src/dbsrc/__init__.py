@@ -6,9 +6,9 @@ short-time output power control, PI-compensated controller
 architectures and a quasi-steady-state battery-charger scenario.
 """
 
-from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig,
-                      SensorLag, Trace, Uncertainties, battery_step,
-                      default_tank, pack_voltage, plant_step, run_scenario)
+from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig, Trace,
+                      Uncertainties, battery_step, default_tank,
+                      pack_voltage, plant_step, run_scenario)
 from .control import PiController, parallel_step, series_step
 from .errors import (BelowResonanceError, DbsrcError,
                      DegenerateTankCurrentError, InfeasibleReferenceError,
@@ -46,7 +46,7 @@ __all__ = [
     # control
     "PiController", "series_step", "parallel_step",
     # charger
-    "Uncertainties", "SensorLag", "ScenarioConfig", "ControllerGains",
+    "Uncertainties", "ScenarioConfig", "ControllerGains",
     "Trace", "ScenarioAbort", "battery_step", "pack_voltage",
     "plant_step", "run_scenario", "default_tank",
     # errors

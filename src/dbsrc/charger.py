@@ -68,20 +68,6 @@ def plant_step(p: SwitchingParams, u: Uncertainties, gain: float,
         sigma, delta
 
 
-class SensorLag:
-    """Discrete first-order measurement filter with unit DC gain."""
-
-    def __init__(self, tau: float, dt: float):
-        if tau < 0 or dt <= 0:
-            raise ValueError("need tau >= 0 and dt > 0")
-        self.alpha = 1.0 if tau == 0 else 1.0 - math.exp(-dt / tau)
-        self.state = 0.0
-
-    def step(self, value: float) -> float:
-        self.state += self.alpha * (value - self.state)
-        return self.state
-
-
 # angle corrections saturate at +-0.5 rad to keep the inversion inputs
 # inside the reference domain
 ANGLE_CORR_LIMIT = 0.5
@@ -150,6 +136,8 @@ class ScenarioConfig:
                 and self.seed >= 0):
             raise ValueError(
                 "noise_std_angle, noise_std_w, seed must be non-negative")
+        # sigma* and delta* are checked by the record that defines them
+        ControlReferences(self.sigma_ref, self.delta_ref)
 
 
 def pack_voltage(charge_ah: float, cfg: ScenarioConfig) -> float:
@@ -263,9 +251,11 @@ def run_scenario(cfg: ScenarioConfig,
     pi_volt = PiController(gains.volt_kp, gains.volt_ki, dt, 0.0, cfg.i_cc)
 
     charge = cfg.initial_charge_ah
-    lag_w = SensorLag(cfg.sensor_tau, dt)
-    lag_sigma = SensorLag(cfg.sensor_tau, dt)
-    lag_delta = SensorLag(cfg.sensor_tau, dt)
+    # first-order sensor lags with unit DC gain, exact for a measurement
+    # held over dt; tau = 0 gives alpha = 1 (no lag)
+    tau = cfg.sensor_tau
+    alpha = 1.0 if tau == 0 else 1.0 - math.exp(-dt / tau)
+    lag_w = lag_sigma = lag_delta = 0.0
 
     std_angle, std_w = cfg.noise_std_angle, cfg.noise_std_w
     noisy = std_angle > 0 or std_w > 0
@@ -300,7 +290,7 @@ def run_scenario(cfg: ScenarioConfig,
 
         try:
             params, s_add, _w, _low, warm = parallel_step(
-                refs, w_ref, lag_sigma.state, lag_delta.state, lag_w.state,
+                refs, w_ref, lag_sigma, lag_delta, lag_w,
                 pi_sigma, pi_delta, pi_w, gain, tank, warm=warm)
             w_true, sigma_true, delta_true = plant_step(
                 params, uncertainties, gain, tank)
@@ -320,9 +310,9 @@ def run_scenario(cfg: ScenarioConfig,
             delta_m += std_angle * noise[j + 1]
             w_m += std_w * noise[j + 2]
             j += 3
-        lag_w.step(w_m)
-        lag_sigma.step(sigma_m)
-        lag_delta.step(delta_m)
+        lag_w += alpha * (w_m - lag_w)
+        lag_sigma += alpha * (sigma_m - lag_sigma)
+        lag_delta += alpha * (delta_m - lag_delta)
 
         charge = battery_step(charge, i_out, cfg)
 

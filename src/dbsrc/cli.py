@@ -22,9 +22,10 @@ from . import _kernels as k
 from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig,
                       TRACE_COLUMNS, default_tank, run_scenario,
                       Uncertainties)
+from .errors import InfeasibleReferenceError
 from .inversion import ControlReferences
 from .model import TankConfig
-from .power import s_add_zero_boundary
+from .power import gain_term_h, s_add_zero_boundary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,29 +74,21 @@ def _collect(args) -> Dict[str, str]:
     return values
 
 
-class Schema:
-    """Typed view over the flat key/value config of one command."""
-
-    def __init__(self, values: Dict[str, str], defaults: Dict[str, object]):
-        unknown = set(values) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        self.values = values
-        self.defaults = defaults
-
-    def get(self, key: str):
-        if key not in self.values:
-            return self.defaults[key]
-        raw = self.values[key]
-        kind = type(self.defaults[key])
-        return _parse(key, raw, kind) if kind in (int, float) else raw
-
-    def floats(self, key: str) -> List[float]:
-        raw = self.values.get(key, self.defaults[key])
-        if isinstance(raw, str):
-            return [_parse(key, x, float) for x in raw.split(",")
-                    if x.strip()]
-        return list(raw)
+def _typed(values: Dict[str, str],
+           defaults: Dict[str, object]) -> Dict[str, object]:
+    """defaults with each given key parsed to the type of its default;
+    a tuple default takes a comma-separated list of floats."""
+    unknown = set(values) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    typed = dict(defaults)
+    for key, raw in values.items():
+        if isinstance(defaults[key], tuple):
+            typed[key] = tuple(_parse(key, x, float) for x in raw.split(",")
+                               if x.strip())
+        else:
+            typed[key] = _parse(key, raw, type(defaults[key]))
+    return typed
 
 
 def _parse(key: str, raw: str, kind: type):
@@ -126,32 +119,27 @@ MAP_DEFAULTS: Dict[str, object] = {
 
 
 def cmd_map(values: Dict[str, str], out: str | None) -> int:
-    cfg = Schema(values, MAP_DEFAULTS)
-    gain = cfg.get("gain")
-    s_add = cfg.get("s_add")
+    cfg = _typed(values, MAP_DEFAULTS)
+    gain, s_add = cfg["gain"], cfg["s_add"]
     if gain < 0:
         raise ConfigError("gain must be non-negative")
-    if not 0.0 <= s_add <= math.pi:
-        raise ConfigError("s_add must be in [0, pi]")
-    sigmas = _linspace(cfg.get("sigma_start"), cfg.get("sigma_stop"),
-                       cfg.get("sigma_steps"))
-    deltas = _linspace(cfg.get("delta_start"), cfg.get("delta_stop"),
-                       cfg.get("delta_steps"))
-    half_pi = math.pi / 2
-    for grid, name in ((sigmas, "sigma"), (deltas, "delta")):
-        if any(not -half_pi <= x <= half_pi for x in grid):
-            raise ConfigError(f"{name} grid leaves [-pi/2, pi/2]")
+    sigmas = _linspace(cfg["sigma_start"], cfg["sigma_stop"],
+                       cfg["sigma_steps"])
+    deltas = _linspace(cfg["delta_start"], cfg["delta_stop"],
+                       cfg["delta_steps"])
 
     rows = []
     for sigma_ref in sigmas:
         for delta_ref in deltas:
+            try:
+                ControlReferences(sigma_ref, delta_ref, s_add)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             d, s, beta, _smin, _boost, ok = k.invert_exact(
                 sigma_ref, delta_ref, s_add, gain)
             if not ok:
-                d = s = beta = math.nan
-            rows.append((sigma_ref, delta_ref, d, s,
-                         sigma_ref + delta_ref if math.isnan(beta) else beta,
-                         int(ok)))
+                d = s = math.nan
+            rows.append((sigma_ref, delta_ref, d, s, beta, int(ok)))
     write_csv(out, ("sigma_ref", "delta_ref", "d", "s", "beta", "feasible"),
               rows)
     return EXIT_OK
@@ -167,20 +155,19 @@ TRAJECTORY_DEFAULTS: Dict[str, object] = {
 
 
 def cmd_trajectory(values: Dict[str, str], out: str | None) -> int:
-    cfg = Schema(values, TRAJECTORY_DEFAULTS)
-    duration = cfg.get("duration")
-    dt = cfg.get("dt")
+    cfg = _typed(values, TRAJECTORY_DEFAULTS)
+    duration, dt = cfg["duration"], cfg["dt"]
     if duration <= 0 or dt <= 0:
         raise ConfigError("duration and dt must be positive")
-    g0, g1 = cfg.get("gain_start"), cfg.get("gain_stop")
+    g0, g1 = cfg["gain_start"], cfg["gain_stop"]
     if g0 < 0 or g1 < 0:
         raise ConfigError("gains must be non-negative")
-    off_s, amp_s, f_s = (cfg.get("sigma_offset"), cfg.get("sigma_amp"),
-                         cfg.get("sigma_freq"))
-    off_d, amp_d, f_d = (cfg.get("delta_offset"), cfg.get("delta_amp"),
-                         cfg.get("delta_freq"))
-    off_a, amp_a, f_a = (cfg.get("s_add_offset"), cfg.get("s_add_amp"),
-                         cfg.get("s_add_freq"))
+    off_s, amp_s, f_s = (cfg["sigma_offset"], cfg["sigma_amp"],
+                         cfg["sigma_freq"])
+    off_d, amp_d, f_d = (cfg["delta_offset"], cfg["delta_amp"],
+                         cfg["delta_freq"])
+    off_a, amp_a, f_a = (cfg["s_add_offset"], cfg["s_add_amp"],
+                         cfg["s_add_freq"])
     half_pi = math.pi / 2
     if abs(off_s) + amp_s > half_pi or abs(off_d) + amp_d > half_pi:
         raise ConfigError("angle references leave [-pi/2, pi/2]")
@@ -214,33 +201,29 @@ def cmd_trajectory(values: Dict[str, str], out: str | None) -> int:
 
 
 LOWPOWER_DEFAULTS: Dict[str, object] = {
-    "gains": "0.7,1.0,1.3",
+    "gains": (0.7, 1.0, 1.3),
     "sigma_ref": 0.1, "delta_ref": 0.0,
     "s_add_step": math.pi / 256,
 }
 
 
 def cmd_lowpower(values: Dict[str, str], out: str | None) -> int:
-    cfg = Schema(values, LOWPOWER_DEFAULTS)
-    gains = cfg.floats("gains")
-    if not gains or any(g <= 0 for g in gains):
-        raise ConfigError("gains must be a non-empty list of positive values")
-    sigma_ref = cfg.get("sigma_ref")
-    delta_ref = cfg.get("delta_ref")
-    step = cfg.get("s_add_step")
+    cfg = _typed(values, LOWPOWER_DEFAULTS)
+    gains, step = cfg["gains"], cfg["s_add_step"]
+    if not gains:
+        raise ConfigError("gains must be a non-empty list")
     if step <= 0:
         raise ConfigError("s_add_step must be positive")
+    sigma_ref, delta_ref = cfg["sigma_ref"], cfg["delta_ref"]
     try:
         refs = ControlReferences(sigma_ref=sigma_ref, delta_ref=delta_ref)
-    except ValueError as exc:
+        h0s = [gain_term_h(refs, gain) for gain in gains]
+    except (ValueError, InfeasibleReferenceError) as exc:
         raise ConfigError(str(exc)) from exc
-    if abs(math.cos(sigma_ref)) <= 1e-9:
-        raise ConfigError("cos(sigma_ref) too small")
 
     n = int(math.ceil(math.pi / step))
     rows = []
-    for gain in gains:
-        h0 = k.regulated_point(sigma_ref, delta_ref, 0.0, gain, 0.0, 0.0)[3]
+    for gain, h0 in zip(gains, h0s):
         if h0 <= 0:
             raise ConfigError(f"references infeasible at G={gain}")
         s_add0 = s_add_zero_boundary(refs, gain)
@@ -267,27 +250,25 @@ CHARGE_DEFAULTS: Dict[str, object] = {
 }
 
 
-def _from_schema(cls, cfg: Schema, **given):
+def _from_config(cls, cfg: Dict[str, object], **given):
     """An instance of cls with every field that is a charge key read
     from cfg; the other fields come from given or keep their defaults."""
-    return cls(**given, **{f.name: cfg.get(f.name) for f in fields(cls)
+    return cls(**given, **{f.name: cfg[f.name] for f in fields(cls)
                            if f.name in CHARGE_DEFAULTS})
 
 
 def cmd_charge(values: Dict[str, str], out: str | None) -> int:
-    cfg = Schema(values, CHARGE_DEFAULTS)
-    decimate = cfg.get("decimate")
+    cfg = _typed(values, CHARGE_DEFAULTS)
+    decimate = cfg["decimate"]
     if decimate < 1:
         raise ConfigError("decimate must be >= 1")
     try:
-        tank = TankConfig(inductance=cfg.get("L"), capacitance=cfg.get("C"),
-                          turns_ratio=cfg.get("n"),
-                          omega_max=2 * math.pi * cfg.get("f_max"))
-        scenario = _from_schema(ScenarioConfig, cfg, tank=tank)
-        gains = _from_schema(ControllerGains, cfg)
-        uncertainties = _from_schema(Uncertainties, cfg)
-        ControlReferences(sigma_ref=scenario.sigma_ref,
-                          delta_ref=scenario.delta_ref)
+        tank = TankConfig(inductance=cfg["L"], capacitance=cfg["C"],
+                          turns_ratio=cfg["n"],
+                          omega_max=2 * math.pi * cfg["f_max"])
+        scenario = _from_config(ScenarioConfig, cfg, tank=tank)
+        gains = _from_config(ControllerGains, cfg)
+        uncertainties = _from_config(Uncertainties, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

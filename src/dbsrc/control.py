@@ -30,7 +30,7 @@ class PiController:
     def __init__(self, kp: float, ki: float, dt: float,
                  output_min: float = -math.inf,
                  output_max: float = math.inf):
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError("dt must be positive")
         self.kp = kp
         self.ki = ki

@@ -65,7 +65,7 @@ class InversionResult:
 def try_invert_alignment(refs: ControlReferences, gain: float) -> InversionResult:
     """Inverse map that reports infeasibility in the result instead of
     raising; see invert_alignment."""
-    if gain <= 0:
+    if not gain > 0:
         raise ValueError("gain must be positive")
     d, s, beta, s_min, is_boost, feasible = k.invert_exact(
         refs.sigma_ref, refs.delta_ref, refs.s_add, gain)
@@ -152,7 +152,7 @@ def fully_driven_maps(gain: float, g_star: float) -> Tuple[float, float]:
     """
     if not 0.0 < g_star <= 1.0:
         raise ValueError("G* must be in (0, 1]")
-    if gain <= 0:
+    if not gain > 0:
         raise ValueError("gain must be positive")
     beta = math.acos(min(gain, g_star))
     s = math.acos(2.0 * g_star / max(gain, g_star) - 1.0)
@@ -165,7 +165,7 @@ def beta_zero_maps(gain: float) -> Tuple[float, float]:
     G <= 1: d = acos(1 - 2 G), s = 0; G > 1: d = pi,
     s = acos(2/G - 1).  Both satisfy 1 - G - cos d - G cos s = 0.
     """
-    if gain <= 0:
+    if not gain > 0:
         raise ValueError("gain must be positive")
     if gain <= 1.0:
         return math.acos(1.0 - 2.0 * gain), 0.0
@@ -184,7 +184,7 @@ def linearized_inverse(refs: ControlReferences, gain: float) -> Tuple[float, flo
     Raises:
         UndefinedAtUnityGainError: for |G - 1| < 1e-6.
     """
-    if gain <= 0:
+    if not gain > 0:
         raise ValueError("gain must be positive")
     if abs(gain - 1.0) < 1e-6:
         raise UndefinedAtUnityGainError("linearized map undefined at G = 1")

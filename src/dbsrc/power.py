@@ -54,7 +54,7 @@ def gain_term_h(refs: ControlReferences, gain: float) -> float:
     """
     if abs(math.cos(refs.sigma_ref)) <= 1e-9:
         raise ValueError("cos(sigma*) too small for the H split")
-    if gain <= 0:
+    if not gain > 0:
         raise ValueError("gain must be positive")
     _d, _s, _beta, h, feasible, _boost = k.regulated_point(
         refs.sigma_ref, refs.delta_ref, refs.s_add, gain, 0.0, 0.0)
@@ -84,7 +84,7 @@ def frequency_from_impedance(z: float, tank: TankConfig) -> float:
 
     Z = 0 gives the resonant frequency 1/sqrt(LC).
     """
-    if z < 0:
+    if not z >= 0:
         raise ValueError("Z must be non-negative (above-resonance operation)")
     return k.omega_from_impedance(z, tank.inductance, tank.capacitance)
 
@@ -125,7 +125,7 @@ def s_add_zero_boundary(refs: ControlReferences, gain: float) -> float:
     Raises:
         InfeasibleReferenceError: references not invertible at s_add = 0.
     """
-    if gain <= 0:
+    if not gain > 0:
         raise ValueError("gain must be positive")
     s_add0, feasible = k.s_add_zero_scan(refs.sigma_ref, refs.delta_ref, gain)
     if not feasible:

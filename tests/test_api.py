@@ -2,13 +2,17 @@
 exports."""
 
 import dbsrc
-from dbsrc import _kernels, model
+from dbsrc import _kernels, charger, cli, model
 
-# names deleted with the two-record forward model and the second q map
+# names deleted with the two-record forward model, the second q map, the
+# sensor-lag class (the loop's lags are floats) and the CLI's lazy
+# config view (cli._typed parses every key once)
 REMOVED = {
     model: ("AlignmentAngles", "HarmonicCoefficients",
             "harmonic_coefficients", "DEGENERATE_AMP_SQ"),
     _kernels: ("q_reference", "clamped_acos", "transconductance_point"),
+    charger: ("SensorLag",),
+    cli: ("Schema",),
 }
 
 

@@ -8,10 +8,10 @@ import pytest
 
 import dbsrc.charger
 import dbsrc.control
-from dbsrc import (ScenarioAbort, ScenarioConfig, SensorLag,
-                   SwitchingParams, Uncertainties, battery_step,
-                   default_tank, pack_voltage, plant_step, run_scenario,
-                   transconductance)
+from dbsrc import (BelowResonanceError, DegenerateTankCurrentError,
+                   ScenarioAbort, ScenarioConfig, SwitchingParams,
+                   Uncertainties, battery_step, default_tank, pack_voltage,
+                   plant_step, run_scenario, transconductance)
 from dbsrc import _kernels as k
 
 
@@ -100,18 +100,24 @@ class TestPlantStep:
                                     self.gain, self.tank)
         assert scaled < base
 
+    def test_unset_frequency_rejected(self):
+        with pytest.raises(ValueError, match="omega"):
+            plant_step(self.p._replace(omega=None), Uncertainties(),
+                       self.gain, self.tank)
 
-class TestSensorLag:
-    def test_unit_dc_gain(self):
-        lag = SensorLag(tau=1e-3, dt=1e-4)
-        for _ in range(200):
-            lag.step(2.5)
-        assert lag.state == pytest.approx(2.5, rel=1e-8)
+    def test_below_scaled_resonance_rejected(self):
+        # L * 0.9 moves the resonance above 1.01 times the nominal one
+        p = self.p._replace(omega=1.01 * self.tank.omega_resonant)
+        plant_step(p, Uncertainties(l_scale=1.0), self.gain, self.tank)
+        with pytest.raises(BelowResonanceError):
+            plant_step(p, Uncertainties(l_scale=0.9), self.gain, self.tank)
 
-    def test_exact_discretization(self):
-        lag = SensorLag(tau=1e-3, dt=1e-4)
-        lag.step(1.0)
-        assert lag.state == pytest.approx(1.0 - math.exp(-0.1), rel=1e-12)
+    def test_collapsed_tank_current_rejected(self):
+        # d = 0 with s = pi collapses the tank current (A = B = 0), here
+        # at the plant's beta of -0.1
+        p = SwitchingParams(0.0, math.pi, 0.0, self.p.omega)
+        with pytest.raises(DegenerateTankCurrentError):
+            plant_step(p, Uncertainties(), self.gain, self.tank)
 
 
 def short_config(**kw):
@@ -131,10 +137,16 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("name", [
         "v_in", "i_cc", "v_cv", "dt", "duration", "time_scale",
         "capacity_ah", "v_empty", "v_full", "i_ref_slew", "sensor_tau",
-        "noise_std_angle", "noise_std_w"])
+        "noise_std_angle", "noise_std_w", "sigma_ref", "delta_ref"])
     def test_nan_rejected(self, name):
         with pytest.raises(ValueError):
             ScenarioConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["sigma_ref", "delta_ref"])
+    def test_references_checked_on_construction(self, name):
+        # the check of ControlReferences, before any run
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: 2.0})
 
 
 class TestRunScenario:
@@ -231,6 +243,41 @@ class TestRunScenario:
         for i in range(1, tr.steps):
             assert given[i] is returned[i - 1], i
         assert len({id(warm) for warm in returned}) > 100
+
+    @pytest.mark.parametrize("tau", [5e-4, 0.0])
+    def test_measurements_are_lagged_plant_outputs(self, monkeypatch, tau):
+        # each step measures through a first-order lag per signal,
+        # m += alpha * (y - m) from m = 0 over the plant outputs of the
+        # steps before it; tau = 0 gives alpha = 1
+        plant, step = dbsrc.charger.plant_step, dbsrc.charger.parallel_step
+        outputs, measured = [], []
+
+        def plant_wrapper(*args):
+            outputs.append(plant(*args))
+            return outputs[-1]
+
+        def step_wrapper(refs, w_ref, sigma_m, delta_m, w_m, *args, **kw):
+            measured.append((sigma_m, delta_m, w_m))
+            return step(refs, w_ref, sigma_m, delta_m, w_m, *args, **kw)
+
+        monkeypatch.setattr(dbsrc.charger, "plant_step", plant_wrapper)
+        monkeypatch.setattr(dbsrc.charger, "parallel_step", step_wrapper)
+        cfg = ScenarioConfig(duration=0.05, sensor_tau=tau)
+        tr = run_scenario(cfg)
+        assert len(measured) == len(outputs) == tr.steps == 500
+        alpha = 1.0 if tau == 0 else 1.0 - math.exp(-cfg.dt / tau)
+        w = sigma = delta = 0.0
+        for i, (w_true, sigma_true, delta_true) in enumerate(outputs):
+            assert measured[i] == (sigma, delta, w), i
+            w += alpha * (w_true - w)
+            sigma += alpha * (sigma_true - sigma)
+            delta += alpha * (delta_true - delta)
+        if tau == 0:
+            # each step sees the outputs of the step before, up to the
+            # rounding of m + (y - m); step 0 sees 0.0
+            assert measured[0] == (0.0, 0.0, 0.0)
+            for got, (w, sg, dl) in zip(measured[1:], outputs):
+                assert got == pytest.approx((sg, dl, w), rel=0, abs=1e-15)
 
     def test_abort_on_collapsed_references(self):
         # sigma* = 0 at G = 1 collapses the tank current; with the

@@ -234,6 +234,8 @@ class TestConfigHandling:
         "charge sigma_ki=inf", "charge dt=nan", "charge duration=inf",
         "charge sensor_tau=nan", "charge beta_offset=inf",
         "charge seed=-1 noise_std_w=1e-5", "map gain=nan",
+        "map sigma_stop=1.7", "map s_add=4",
+        "lowpower sigma_ref=1.5707963267948966", "lowpower gains=0.5,-1",
     ], ids=lambda case: case.replace(" ", "-"))
     def test_invalid_physical_value_rejected(self, tmp_path, case):
         command, *settings = case.split()

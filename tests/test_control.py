@@ -25,6 +25,11 @@ class TestPiController:
         pi = PiController(kp=1.0, ki=0.0, dt=1.0)
         assert pi.step(0.5) == 0.5
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan])
+    def test_non_positive_or_nan_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            PiController(kp=1.0, ki=1.0, dt=dt)
+
     def test_pure_integral_accumulates(self):
         pi = PiController(kp=0.0, ki=1.0, dt=1.0)
         assert pi.step(1.0) == 1.0

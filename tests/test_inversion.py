@@ -445,3 +445,19 @@ class TestInfeasibleInRange:
             p = try_invert_alignment(r, rng.uniform(0.01, 5.0)).params
             assert 0.0 <= p.d <= math.pi
             assert 0.0 <= p.s <= math.pi
+
+
+class TestNanGainRejected:
+    # each gain check reads "not gain > 0", which NaN fails too
+    @pytest.mark.parametrize("call", [
+        lambda g: try_invert_alignment(refs(0.1), g),
+        lambda g: invert_alignment(refs(0.1), g),
+        lambda g: q_from_references(refs(0.1), g),
+        lambda g: fully_driven_maps(g, 0.9),
+        lambda g: beta_zero_maps(g),
+        lambda g: linearized_inverse(refs(0.1), g),
+    ], ids=["try_invert_alignment", "invert_alignment", "q_from_references",
+            "fully_driven_maps", "beta_zero_maps", "linearized_inverse"])
+    def test_nan_gain_rejected(self, call):
+        with pytest.raises(ValueError, match="gain"):
+            call(math.nan)

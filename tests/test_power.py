@@ -314,6 +314,20 @@ class TestDomains:
         with pytest.raises(InfeasibleReferenceError):
             s_add_zero_boundary(r, 0.9)
 
+    @pytest.mark.parametrize("call", [
+        lambda g: gain_term_h(refs(), g),
+        lambda g: s_add_zero_boundary(refs(), g),
+        lambda g: fully_driven_frequency(g, 0.95, 0.05, TANK),
+    ], ids=["gain_term_h", "s_add_zero_boundary", "fully_driven_frequency"])
+    def test_nan_gain_rejected(self, call):
+        # each gain check reads "not gain > 0", which NaN fails too
+        with pytest.raises(ValueError, match="gain"):
+            call(math.nan)
+
+    def test_nan_impedance_rejected(self):
+        with pytest.raises(ValueError, match="Z"):
+            frequency_from_impedance(math.nan, TANK)
+
     def test_non_positive_gain_rejected(self):
         for gain in (-1.0, 0.0):
             with pytest.raises(ValueError):
