@@ -6,9 +6,8 @@ short-time output power control, PI-compensated controller
 architectures and a quasi-steady-state battery-charger scenario.
 """
 
-from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig, Trace,
-                      Uncertainties, battery_step, default_tank,
-                      pack_voltage, plant_step, run_scenario)
+from .charger import (ScenarioAbort, ScenarioConfig, Trace, battery_step,
+                      default_tank, pack_voltage, plant_step, run_scenario)
 from .control import PiController, parallel_step, series_step
 from .errors import (BelowResonanceError, DbsrcError,
                      DegenerateTankCurrentError, InfeasibleReferenceError,
@@ -46,9 +45,8 @@ __all__ = [
     # control
     "PiController", "series_step", "parallel_step",
     # charger
-    "Uncertainties", "ScenarioConfig", "ControllerGains",
-    "Trace", "ScenarioAbort", "battery_step", "pack_voltage",
-    "plant_step", "run_scenario", "default_tank",
+    "ScenarioConfig", "Trace", "ScenarioAbort", "battery_step",
+    "pack_voltage", "plant_step", "run_scenario", "default_tank",
     # errors
     "DbsrcError", "DegenerateTankCurrentError", "BelowResonanceError",
     "InfeasibleReferenceError", "ZeroPowerReferenceError",

@@ -35,7 +35,8 @@ TWO_PI = 2.0 * math.pi
 
 DEGENERATE_AMP_SQ = 1e-24   # A^2 + B^2 below this means tank-current collapse
 ACOS_CLAMP_TOL = 1e-9       # tolerated overshoot of |acos argument| past 1.0
-RANGE_TOL = 1e-9            # tolerated overshoot of d, s past [0, pi]
+RANGE_TOL = 1e-9            # tolerated overshoot of d, s past [0, pi], q past
+                            # [0, 2 pi] and beta past [-pi, pi]
 A_MIN = -4e-12              # in-phase coefficient A below this is infeasible
 SCAN_STEP = PI / 512        # grid of the short-time scans
 W_REL_TOL = 0.01            # accepted relative W miss of the low-power scan

@@ -36,38 +36,6 @@ def default_tank() -> TankConfig:
                       omega_max=2 * math.pi * 165e3)
 
 
-@dataclass(frozen=True)
-class Uncertainties:
-    """Plant-side model errors, invisible to the controller: a constant
-    offset on the applied beta and a scale on the tank inductance."""
-    beta_offset: float = -0.1
-    l_scale: float = 1.05
-
-
-def plant_step(p: SwitchingParams, u: Uncertainties, gain: float,
-               tank: TankConfig) -> tuple[float, float, float]:
-    """True converter outputs (W, sigma, delta) at gain G, before sensor
-    lag.
-
-    Evaluates the steady-state model with beta replaced by
-    beta + beta_offset and L by L * l_scale.
-    """
-    d, s, beta, omega = p
-    if omega is None:
-        raise ValueError("SwitchingParams.omega must be set")
-    ind = tank.inductance * u.l_scale
-    z = k.tank_impedance(omega, ind, tank.capacitance)
-    if z <= 0:
-        raise BelowResonanceError(
-            f"plant sees Z({omega}) <= 0 with scaled inductance")
-    amp, sigma, delta, degenerate = k.forward_point(
-        d, s, beta + u.beta_offset, gain)
-    if degenerate:
-        raise DegenerateTankCurrentError("plant tank current collapsed")
-    return k.w_from_amplitude(amp, s, delta, z, tank.turns_ratio), \
-        sigma, delta
-
-
 # angle corrections saturate at +-0.5 rad to keep the inversion inputs
 # inside the reference domain
 ANGLE_CORR_LIMIT = 0.5
@@ -81,24 +49,10 @@ NOISE_BLOCK = 256
 
 
 @dataclass(frozen=True)
-class ControllerGains:
-    """Loop gains; defaults settle the study-case scenario well inside
-    its duration."""
-    sigma_kp: float = 0.5
-    sigma_ki: float = 200.0
-    delta_kp: float = 0.5
-    delta_ki: float = 200.0
-    w_kp: float = 6.0
-    w_ki: float = 5000.0
-    volt_kp: float = 25.0
-    volt_ki: float = 40.0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
-    """Charger scenario parameters; the defaults reproduce the study
-    case (600 V input, CC 25 A then CV 400 V, 30 Ah pack from 240 V to
-    400 V, 100 us control step, charge compressed by time_scale)."""
+    """Everything a charger run depends on; the defaults reproduce the
+    study case (600 V input, CC 25 A then CV 400 V, 30 Ah pack from 240 V
+    to 400 V, 100 us control step, charge compressed by time_scale)."""
     tank: TankConfig = field(default_factory=default_tank)
     v_in: float = 600.0
     i_cc: float = 25.0
@@ -117,6 +71,18 @@ class ScenarioConfig:
     noise_std_angle: float = 0.0
     noise_std_w: float = 0.0
     seed: int = 0
+    # plant-side model errors, invisible to the controller
+    beta_offset: float = -0.1   # added to the applied beta
+    l_scale: float = 1.05       # scales the tank inductance
+    # PI gains; the defaults settle the study case well inside its duration
+    sigma_kp: float = 0.5
+    sigma_ki: float = 200.0
+    delta_kp: float = 0.5
+    delta_ki: float = 200.0
+    w_kp: float = 6.0
+    w_ki: float = 5000.0
+    volt_kp: float = 25.0
+    volt_ki: float = 40.0
 
     def __post_init__(self):
         # written as "not x > 0" so that NaN fails every check
@@ -136,8 +102,41 @@ class ScenarioConfig:
                 and self.seed >= 0):
             raise ValueError(
                 "noise_std_angle, noise_std_w, seed must be non-negative")
+        if not all(map(math.isfinite, (
+                self.initial_charge_ah, self.beta_offset, self.l_scale,
+                self.sigma_kp, self.sigma_ki, self.delta_kp, self.delta_ki,
+                self.w_kp, self.w_ki, self.volt_kp, self.volt_ki))):
+            raise ValueError("initial_charge_ah, beta_offset, l_scale and "
+                             "the gains must be finite")
+        if not self.l_scale > 0:
+            raise ValueError("l_scale must be positive")
         # sigma* and delta* are checked by the record that defines them
         ControlReferences(self.sigma_ref, self.delta_ref)
+
+
+def plant_step(p: SwitchingParams, cfg: ScenarioConfig,
+               gain: float) -> tuple[float, float, float]:
+    """True converter outputs (W, sigma, delta) at gain G, before sensor
+    lag.
+
+    Evaluates the steady-state model of cfg.tank with beta replaced by
+    beta + cfg.beta_offset and L by L * cfg.l_scale.
+    """
+    d, s, beta, omega = p
+    if omega is None:
+        raise ValueError("SwitchingParams.omega must be set")
+    tank = cfg.tank
+    ind = tank.inductance * cfg.l_scale
+    z = k.tank_impedance(omega, ind, tank.capacitance)
+    if z <= 0:
+        raise BelowResonanceError(
+            f"plant sees Z({omega}) <= 0 with scaled inductance")
+    amp, sigma, delta, degenerate = k.forward_point(
+        d, s, beta + cfg.beta_offset, gain)
+    if degenerate:
+        raise DegenerateTankCurrentError("plant tank current collapsed")
+    return k.w_from_amplitude(amp, s, delta, z, tank.turns_ratio), \
+        sigma, delta
 
 
 def pack_voltage(charge_ah: float, cfg: ScenarioConfig) -> float:
@@ -181,14 +180,13 @@ class Trace:
     """Recorded scenario signals, one entry per control step.
 
     data holds the STORED_COLUMNS.  The other columns of TRACE_COLUMNS
-    are exact functions of them and of the run's config and plant beta
-    offset, computed on access in the loop's own operation order, so
-    they are bit-identical to the values the loop used.
+    are exact functions of them and of the run's config, computed on
+    access in the loop's own operation order, so they are bit-identical
+    to the values the loop used.
     """
     data: dict[str, np.ndarray]
     steps: int
     cfg: ScenarioConfig
-    beta_offset: float
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name in self.data:
@@ -201,7 +199,7 @@ class Trace:
         if name == "I_out":
             return self["W"] * cfg.v_in
         if name == "delta":
-            return (self["beta"] + self.beta_offset) - self["sigma"]
+            return (self["beta"] + cfg.beta_offset) - self["sigma"]
         if name in ("sigma_ref", "delta_ref"):
             return np.full(self.steps, getattr(cfg, name))
         raise KeyError(name)
@@ -219,9 +217,7 @@ class ScenarioAbort(DbsrcError):
         self.step = step
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 gains: ControllerGains | None = None,
-                 uncertainties: Uncertainties | None = None) -> Trace:
+def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Run the CC/CV charge and record the closed-loop trace.
 
     The scenario traverses low-power buck (during the current ramp),
@@ -233,26 +229,21 @@ def run_scenario(cfg: ScenarioConfig,
         ScenarioAbort: when the controller signals unreachable power or
             the plant model degenerates; the partial trace is attached.
     """
-    if gains is None:
-        gains = ControllerGains()
-    if uncertainties is None:
-        uncertainties = Uncertainties()
-
     dt = cfg.dt
     n_steps = int(round(cfg.duration / dt))
     refs = ControlReferences(sigma_ref=cfg.sigma_ref,
                              delta_ref=cfg.delta_ref, s_add=0.0)
 
     lim = ANGLE_CORR_LIMIT
-    pi_sigma = PiController(gains.sigma_kp, gains.sigma_ki, dt, -lim, lim)
-    pi_delta = PiController(gains.delta_kp, gains.delta_ki, dt, -lim, lim)
-    pi_w = PiController(gains.w_kp, gains.w_ki, dt,
-                        -W_CORR_LIMIT, W_CORR_LIMIT)
-    pi_volt = PiController(gains.volt_kp, gains.volt_ki, dt, 0.0, cfg.i_cc)
+    pi_sigma = PiController(cfg.sigma_kp, cfg.sigma_ki, dt, -lim, lim)
+    pi_delta = PiController(cfg.delta_kp, cfg.delta_ki, dt, -lim, lim)
+    pi_w = PiController(cfg.w_kp, cfg.w_ki, dt, -W_CORR_LIMIT, W_CORR_LIMIT)
+    pi_volt = PiController(cfg.volt_kp, cfg.volt_ki, dt, 0.0, cfg.i_cc)
 
     charge = cfg.initial_charge_ah
     # first-order sensor lags with unit DC gain, exact for a measurement
-    # held over dt; tau = 0 gives alpha = 1 (no lag)
+    # held over dt; alpha = 1 (tau = 0, or a tau so small that alpha
+    # rounds to 1) passes the measurements through unrounded
     tau = cfg.sensor_tau
     alpha = 1.0 if tau == 0 else 1.0 - math.exp(-dt / tau)
     lag_w = lag_sigma = lag_delta = 0.0
@@ -266,8 +257,7 @@ def run_scenario(cfg: ScenarioConfig,
     # one local reference per STORED_COLUMNS entry, in its order
     col_i_ref, col_v_bat, col_d, col_s, col_beta, col_omega, col_sigma, \
         col_s_add, col_w = data.values()
-    trace = Trace(data=data, steps=0, cfg=cfg,
-                  beta_offset=uncertainties.beta_offset)
+    trace = Trace(data=data, steps=0, cfg=cfg)
     warm = None     # low-power solver state: sol.warm of the last step
 
     tank, v_in, v_cv = cfg.tank, cfg.v_in, cfg.v_cv
@@ -292,8 +282,7 @@ def run_scenario(cfg: ScenarioConfig,
             params, s_add, _w, _low, warm = parallel_step(
                 refs, w_ref, lag_sigma, lag_delta, lag_w,
                 pi_sigma, pi_delta, pi_w, gain, tank, warm=warm)
-            w_true, sigma_true, delta_true = plant_step(
-                params, uncertainties, gain, tank)
+            w_true, sigma_true, delta_true = plant_step(params, cfg, gain)
         except DbsrcError as exc:
             trace.steps = step
             raise ScenarioAbort(
@@ -310,9 +299,12 @@ def run_scenario(cfg: ScenarioConfig,
             delta_m += std_angle * noise[j + 1]
             w_m += std_w * noise[j + 2]
             j += 3
-        lag_w += alpha * (w_m - lag_w)
-        lag_sigma += alpha * (sigma_m - lag_sigma)
-        lag_delta += alpha * (delta_m - lag_delta)
+        if alpha == 1.0:
+            lag_w, lag_sigma, lag_delta = w_m, sigma_m, delta_m
+        else:
+            lag_w += alpha * (w_m - lag_w)
+            lag_sigma += alpha * (sigma_m - lag_sigma)
+            lag_delta += alpha * (delta_m - lag_delta)
 
         charge = battery_step(charge, i_out, cfg)
 

@@ -19,9 +19,8 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from . import _kernels as k
-from .charger import (ControllerGains, ScenarioAbort, ScenarioConfig,
-                      TRACE_COLUMNS, default_tank, run_scenario,
-                      Uncertainties)
+from .charger import (ScenarioAbort, ScenarioConfig, TRACE_COLUMNS,
+                      default_tank, run_scenario)
 from .errors import InfeasibleReferenceError
 from .inversion import ControlReferences
 from .model import TankConfig
@@ -237,43 +236,30 @@ def cmd_lowpower(values: Dict[str, str], out: str | None) -> int:
 
 
 _TANK = default_tank()
-# the tank has keys of its own (L, C, n, f_max)
-_LIBRARY_ONLY = ("tank",)
-_CHARGE_CLASSES = (ScenarioConfig, Uncertainties, ControllerGains)
-
+# the tank's four keys, every other ScenarioConfig field, then decimate
 CHARGE_DEFAULTS: Dict[str, object] = {
     "L": _TANK.inductance, "C": _TANK.capacitance, "n": _TANK.turns_ratio,
     "f_max": _TANK.omega_max / (2 * math.pi),
-    **{f.name: f.default for cls in _CHARGE_CLASSES for f in fields(cls)
-       if f.name not in _LIBRARY_ONLY},
+    **{f.name: f.default for f in fields(ScenarioConfig) if f.name != "tank"},
     "decimate": 1,
 }
 
 
-def _from_config(cls, cfg: Dict[str, object], **given):
-    """An instance of cls with every field that is a charge key read
-    from cfg; the other fields come from given or keep their defaults."""
-    return cls(**given, **{f.name: cfg[f.name] for f in fields(cls)
-                           if f.name in CHARGE_DEFAULTS})
-
-
 def cmd_charge(values: Dict[str, str], out: str | None) -> int:
     cfg = _typed(values, CHARGE_DEFAULTS)
-    decimate = cfg["decimate"]
+    decimate = cfg.pop("decimate")
     if decimate < 1:
         raise ConfigError("decimate must be >= 1")
     try:
-        tank = TankConfig(inductance=cfg["L"], capacitance=cfg["C"],
-                          turns_ratio=cfg["n"],
-                          omega_max=2 * math.pi * cfg["f_max"])
-        scenario = _from_config(ScenarioConfig, cfg, tank=tank)
-        gains = _from_config(ControllerGains, cfg)
-        uncertainties = _from_config(Uncertainties, cfg)
+        tank = TankConfig(inductance=cfg.pop("L"), capacitance=cfg.pop("C"),
+                          turns_ratio=cfg.pop("n"),
+                          omega_max=2 * math.pi * cfg.pop("f_max"))
+        scenario = ScenarioConfig(tank=tank, **cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     try:
-        trace = run_scenario(scenario, gains, uncertainties)
+        trace = run_scenario(scenario)
     except ScenarioAbort as exc:
         write_csv(out, TRACE_COLUMNS, exc.trace.column_stack()[::decimate])
         print(f"error: {exc}", file=sys.stderr)

@@ -72,7 +72,7 @@ class SwitchingParams(_SwitchingFields):
 
     def __new__(cls, d: float, s: float, beta: float,
                 omega: Optional[float] = None):
-        tol = 1e-9
+        tol = k.RANGE_TOL
         if not -tol <= d <= math.pi + tol:
             raise ValueError(f"d out of [0, pi]: {d}")
         if not -tol <= s <= math.pi + tol:

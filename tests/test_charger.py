@@ -2,6 +2,7 @@
 lives in the acceptance suite)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import dbsrc.charger
 import dbsrc.control
 from dbsrc import (BelowResonanceError, DegenerateTankCurrentError,
                    ScenarioAbort, ScenarioConfig, SwitchingParams,
-                   Uncertainties, battery_step, default_tank, pack_voltage,
-                   plant_step, run_scenario, transconductance)
+                   battery_step, default_tank, pack_voltage, plant_step,
+                   run_scenario, transconductance)
 from dbsrc import _kernels as k
 
 
@@ -66,14 +67,15 @@ class TestBattery:
 
 class TestPlantStep:
     def setup_method(self):
-        self.tank = default_tank()
+        self.cfg = ScenarioConfig()
+        self.tank = self.cfg.tank
         self.p = SwitchingParams(d=2.0, s=0.3, beta=0.15,
                                  omega=2 * math.pi * 120e3)
         self.gain = 0.8
 
     def test_zero_uncertainty_matches_model(self):
-        none = Uncertainties(beta_offset=0.0, l_scale=1.0)
-        w, sigma, delta = plant_step(self.p, none, self.gain, self.tank)
+        none = replace(self.cfg, beta_offset=0.0, l_scale=1.0)
+        w, sigma, delta = plant_step(self.p, none, self.gain)
         # transconductance raises BelowResonanceError where Z <= 0
         assert w == transconductance(self.p, self.gain, self.tank)
         _amp, sg, dl, _deg = k.forward_point(self.p.d, self.p.s, self.p.beta,
@@ -82,42 +84,42 @@ class TestPlantStep:
 
     def test_beta_offset_shifts_alignment(self):
         # oracle: evaluate the model directly at beta - 0.1
-        u = Uncertainties(beta_offset=-0.1, l_scale=1.0)
-        _w, sigma, delta = plant_step(self.p, u, self.gain, self.tank)
+        u = replace(self.cfg, beta_offset=-0.1, l_scale=1.0)
+        _w, sigma, delta = plant_step(self.p, u, self.gain)
         _amp, sg, dl, _deg = k.forward_point(
             self.p.d, self.p.s, self.p.beta - 0.1, self.gain)
         assert sigma == sg
         assert delta == dl
         # open loop the rectifier edge moves earlier
         _w0, _sg0, dl0 = plant_step(
-            self.p, Uncertainties(0.0, 1.0), self.gain, self.tank)
+            self.p, replace(self.cfg, beta_offset=0.0, l_scale=1.0), self.gain)
         assert delta < dl0
 
     def test_inductance_scale_lowers_power(self):
-        base, _s, _d = plant_step(self.p, Uncertainties(0.0, 1.0),
-                                  self.gain, self.tank)
-        scaled, _s, _d = plant_step(self.p, Uncertainties(0.0, 1.05),
-                                    self.gain, self.tank)
+        base, _s, _d = plant_step(
+            self.p, replace(self.cfg, beta_offset=0.0, l_scale=1.0), self.gain)
+        scaled, _s, _d = plant_step(
+            self.p, replace(self.cfg, beta_offset=0.0, l_scale=1.05),
+            self.gain)
         assert scaled < base
 
     def test_unset_frequency_rejected(self):
         with pytest.raises(ValueError, match="omega"):
-            plant_step(self.p._replace(omega=None), Uncertainties(),
-                       self.gain, self.tank)
+            plant_step(self.p._replace(omega=None), self.cfg, self.gain)
 
     def test_below_scaled_resonance_rejected(self):
         # L * 0.9 moves the resonance above 1.01 times the nominal one
         p = self.p._replace(omega=1.01 * self.tank.omega_resonant)
-        plant_step(p, Uncertainties(l_scale=1.0), self.gain, self.tank)
+        plant_step(p, replace(self.cfg, l_scale=1.0), self.gain)
         with pytest.raises(BelowResonanceError):
-            plant_step(p, Uncertainties(l_scale=0.9), self.gain, self.tank)
+            plant_step(p, replace(self.cfg, l_scale=0.9), self.gain)
 
     def test_collapsed_tank_current_rejected(self):
         # d = 0 with s = pi collapses the tank current (A = B = 0), here
         # at the plant's beta of -0.1
         p = SwitchingParams(0.0, math.pi, 0.0, self.p.omega)
         with pytest.raises(DegenerateTankCurrentError):
-            plant_step(p, Uncertainties(), self.gain, self.tank)
+            plant_step(p, self.cfg, self.gain)
 
 
 def short_config(**kw):
@@ -136,11 +138,24 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("name", [
         "v_in", "i_cc", "v_cv", "dt", "duration", "time_scale",
-        "capacity_ah", "v_empty", "v_full", "i_ref_slew", "sensor_tau",
-        "noise_std_angle", "noise_std_w", "sigma_ref", "delta_ref"])
+        "capacity_ah", "v_empty", "v_full", "initial_charge_ah",
+        "i_ref_slew", "sensor_tau", "noise_std_angle", "noise_std_w",
+        "sigma_ref", "delta_ref"])
     def test_nan_rejected(self, name):
         with pytest.raises(ValueError):
             ScenarioConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in (
+            "beta_offset", "l_scale", "sigma_kp", "sigma_ki", "delta_kp",
+            "delta_ki", "w_kp", "w_ki", "volt_kp", "volt_ki")
+          for value in (math.nan, math.inf, -math.inf)),
+        ("l_scale", 0.0), ("l_scale", -1.05)])
+    def test_plant_errors_and_gains_checked(self, name, value):
+        # checked on construction, not mid-run by a plain ValueError
+        # that would lose the partial trace
+        with pytest.raises(ValueError, match="finite|positive"):
+            ScenarioConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["sigma_ref", "delta_ref"])
     def test_references_checked_on_construction(self, name):
@@ -248,7 +263,7 @@ class TestRunScenario:
     def test_measurements_are_lagged_plant_outputs(self, monkeypatch, tau):
         # each step measures through a first-order lag per signal,
         # m += alpha * (y - m) from m = 0 over the plant outputs of the
-        # steps before it; tau = 0 gives alpha = 1
+        # steps before it; tau = 0 passes them through, m = y
         plant, step = dbsrc.charger.plant_step, dbsrc.charger.parallel_step
         outputs, measured = [], []
 
@@ -269,28 +284,30 @@ class TestRunScenario:
         w = sigma = delta = 0.0
         for i, (w_true, sigma_true, delta_true) in enumerate(outputs):
             assert measured[i] == (sigma, delta, w), i
-            w += alpha * (w_true - w)
-            sigma += alpha * (sigma_true - sigma)
-            delta += alpha * (delta_true - delta)
+            if tau == 0:
+                w, sigma, delta = w_true, sigma_true, delta_true
+            else:
+                w += alpha * (w_true - w)
+                sigma += alpha * (sigma_true - sigma)
+                delta += alpha * (delta_true - delta)
         if tau == 0:
-            # each step sees the outputs of the step before, up to the
-            # rounding of m + (y - m); step 0 sees 0.0
+            # each step sees exactly the outputs of the step before;
+            # step 0 sees 0.0
             assert measured[0] == (0.0, 0.0, 0.0)
             for got, (w, sg, dl) in zip(measured[1:], outputs):
-                assert got == pytest.approx((sg, dl, w), rel=0, abs=1e-15)
+                assert got == (sg, dl, w)
 
     def test_abort_on_collapsed_references(self):
         # sigma* = 0 at G = 1 collapses the tank current; with the
         # correction loops disabled nothing rescues it and the power
         # request is unreachable (closed-loop corrections would otherwise
         # keep the amplitude alive)
-        from dbsrc import ControllerGains
         cfg = ScenarioConfig(sigma_ref=0.0, duration=1.0,
                              initial_charge_ah=15.0)
-        gains = ControllerGains(sigma_kp=0.0, sigma_ki=0.0, delta_kp=0.0,
-                                delta_ki=0.0, w_kp=0.0, w_ki=0.0)
         with pytest.raises(ScenarioAbort) as exc_info:
-            run_scenario(cfg, gains)
+            run_scenario(replace(cfg, sigma_kp=0.0, sigma_ki=0.0,
+                                 delta_kp=0.0, delta_ki=0.0, w_kp=0.0,
+                                 w_ki=0.0))
         abort = exc_info.value
         assert abort.trace.steps == abort.step
         assert "unreachable" in str(abort)

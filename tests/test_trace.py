@@ -1,23 +1,26 @@
 """Consistency of the scenario trace: the stored columns reproduce the
-plant outputs, and the derived columns equal the loop's formulas."""
+plant outputs, the derived columns equal the loop's formulas, and the
+run's config replays it."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dbsrc import (ControllerGains, ScenarioAbort, ScenarioConfig,
-                   SwitchingParams, Uncertainties, plant_step, run_scenario)
+from dbsrc import (ScenarioAbort, ScenarioConfig, SwitchingParams, plant_step,
+                   run_scenario)
 from dbsrc.charger import STORED_COLUMNS, TRACE_COLUMNS
 
 # a fast soft start (low-power, then analytic steps) across G = 1 with
 # noise, under other uncertainties than the study case
 CFG = ScenarioConfig(duration=0.4, initial_charge_ah=14.85, i_ref_slew=100.0,
-                     noise_std_angle=1e-3, seed=5)
-UNC = Uncertainties(beta_offset=0.07, l_scale=1.02)
+                     noise_std_angle=1e-3, seed=5, beta_offset=0.07,
+                     l_scale=1.02)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return run_scenario(CFG, uncertainties=UNC)
+    return run_scenario(CFG)
 
 
 def test_only_independent_columns_are_stored(trace):
@@ -33,7 +36,7 @@ def test_plant_reproduces_recorded_outputs(trace):
         params = SwitchingParams(d=trace["d"][i], s=trace["s"][i],
                                  beta=trace["beta"][i],
                                  omega=trace["omega"][i])
-        w, sigma, delta = plant_step(params, UNC, trace["G"][i], CFG.tank)
+        w, sigma, delta = plant_step(params, CFG, trace["G"][i])
         assert (w, sigma, delta) == (trace["W"][i], trace["sigma"][i],
                                      trace["delta"][i])
 
@@ -49,11 +52,20 @@ def test_derived_columns_follow_the_loop_formulas(trace):
 
 
 def test_two_runs_agree_on_every_column(trace):
-    again = run_scenario(CFG, uncertainties=UNC)
+    again = run_scenario(CFG)
     assert again.steps == trace.steps
     for name in TRACE_COLUMNS:
         assert np.array_equal(again[name], trace[name]), name
     assert np.array_equal(again.column_stack(), trace.column_stack())
+
+
+def test_config_replays_the_run():
+    # the plant errors and the gains are part of the run's one record
+    first = run_scenario(replace(CFG, w_kp=5.0, sigma_ki=150.0,
+                                 volt_kp=20.0))
+    again = run_scenario(first.cfg)
+    assert again.steps == first.steps
+    assert np.array_equal(again.column_stack(), first.column_stack())
 
 
 def test_unknown_column_raises(trace):
@@ -63,10 +75,9 @@ def test_unknown_column_raises(trace):
 
 def test_abort_trace_stacks_its_steps():
     cfg = ScenarioConfig(sigma_ref=0.0, duration=1.0, initial_charge_ah=15.0)
-    gains = ControllerGains(sigma_kp=0.0, sigma_ki=0.0, delta_kp=0.0,
-                            delta_ki=0.0, w_kp=0.0, w_ki=0.0)
     with pytest.raises(ScenarioAbort) as exc_info:
-        run_scenario(cfg, gains)
+        run_scenario(replace(cfg, sigma_kp=0.0, sigma_ki=0.0, delta_kp=0.0,
+                             delta_ki=0.0, w_kp=0.0, w_ki=0.0))
     partial = exc_info.value.trace
     stacked = partial.column_stack()
     assert stacked.shape == (partial.steps, len(TRACE_COLUMNS))
