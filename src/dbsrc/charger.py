@@ -15,6 +15,7 @@ and the whole run is deterministic for a given config and seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,14 +103,22 @@ class ScenarioConfig:
                 and self.seed >= 0):
             raise ValueError(
                 "noise_std_angle, noise_std_w, seed must be non-negative")
+        # numbers.Integral, so that numpy integers pass too
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
+        gains = (self.sigma_kp, self.sigma_ki, self.delta_kp, self.delta_ki,
+                 self.w_kp, self.w_ki, self.volt_kp, self.volt_ki)
         if not all(map(math.isfinite, (
                 self.initial_charge_ah, self.beta_offset, self.l_scale,
-                self.sigma_kp, self.sigma_ki, self.delta_kp, self.delta_ki,
-                self.w_kp, self.w_ki, self.volt_kp, self.volt_ki))):
+                *gains))):
             raise ValueError("initial_charge_ah, beta_offset, l_scale and "
                              "the gains must be finite")
         if not self.l_scale > 0:
             raise ValueError("l_scale must be positive")
+        # each loop's error is ref - meas on a channel that rises with
+        # its actuator, so a negative gain is positive feedback
+        if min(gains) < 0:
+            raise ValueError("the PI gains must be non-negative")
         # sigma* and delta* are checked by the record that defines them
         ControlReferences(self.sigma_ref, self.delta_ref)
 

@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 from dataclasses import fields
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -101,15 +101,6 @@ def _parse(key: str, raw: str, kind: type):
     return value
 
 
-def _linspace(start: float, stop: float, steps: int) -> List[float]:
-    if steps < 1:
-        raise ConfigError("grid steps must be >= 1")
-    if steps == 1:
-        return [start]
-    h = (stop - start) / (steps - 1)
-    return [start + i * h for i in range(steps)]
-
-
 MAP_DEFAULTS: Dict[str, object] = {
     "gain": 0.5, "s_add": 0.0,
     "sigma_start": -0.6, "sigma_stop": 0.6, "sigma_steps": 25,
@@ -122,10 +113,12 @@ def cmd_map(values: Dict[str, str], out: str | None) -> int:
     gain, s_add = cfg["gain"], cfg["s_add"]
     if gain < 0:
         raise ConfigError("gain must be non-negative")
-    sigmas = _linspace(cfg["sigma_start"], cfg["sigma_stop"],
-                       cfg["sigma_steps"])
-    deltas = _linspace(cfg["delta_start"], cfg["delta_stop"],
-                       cfg["delta_steps"])
+    if cfg["sigma_steps"] < 1 or cfg["delta_steps"] < 1:
+        raise ConfigError("grid steps must be >= 1")
+    sigmas = np.linspace(cfg["sigma_start"], cfg["sigma_stop"],
+                         cfg["sigma_steps"]).tolist()
+    deltas = np.linspace(cfg["delta_start"], cfg["delta_stop"],
+                         cfg["delta_steps"]).tolist()
 
     rows = []
     for sigma_ref in sigmas:
@@ -167,13 +160,6 @@ def cmd_trajectory(values: Dict[str, str], out: str | None) -> int:
                          cfg["delta_freq"])
     off_a, amp_a, f_a = (cfg["s_add_offset"], cfg["s_add_amp"],
                          cfg["s_add_freq"])
-    half_pi = math.pi / 2
-    if abs(off_s) + amp_s > half_pi or abs(off_d) + amp_d > half_pi:
-        raise ConfigError("angle references leave [-pi/2, pi/2]")
-    if amp_s < 0 or amp_d < 0 or amp_a < 0:
-        raise ConfigError("amplitudes must be non-negative")
-    if off_a < 0 or off_a + amp_a > math.pi:
-        raise ConfigError("s_add references leave [0, pi]")
 
     n = int(round(duration / dt)) + 1
     rows = []
@@ -183,6 +169,10 @@ def cmd_trajectory(values: Dict[str, str], out: str | None) -> int:
         sigma_ref = off_s + amp_s * math.sin(2 * math.pi * f_s * t)
         delta_ref = off_d + amp_d * math.sin(2 * math.pi * f_d * t)
         s_add = off_a + amp_a * 0.5 * (1.0 - math.cos(2 * math.pi * f_a * t))
+        try:
+            ControlReferences(sigma_ref, delta_ref, s_add)
+        except ValueError as exc:
+            raise ConfigError(f"t={t}: {exc}") from exc
         d, s, beta, _smin, _boost, ok = k.invert_exact(
             sigma_ref, delta_ref, s_add, gain)
         if ok:
@@ -259,20 +249,20 @@ def cmd_charge(values: Dict[str, str], out: str | None) -> int:
         raise ConfigError(str(exc)) from exc
 
     try:
-        trace = run_scenario(scenario)
+        trace, code = run_scenario(scenario), EXIT_OK
     except ScenarioAbort as exc:
-        write_csv(out, TRACE_COLUMNS, exc.trace.column_stack()[::decimate])
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORT
+        trace, code = exc.trace, EXIT_ABORT
     write_csv(out, TRACE_COLUMNS, trace.column_stack()[::decimate])
-    return EXIT_OK
+    return code
 
 
-COMMANDS: Dict[str, Callable[[Dict[str, str], str | None], int]] = {
-    "map": cmd_map,
-    "trajectory": cmd_trajectory,
-    "lowpower": cmd_lowpower,
-    "charge": cmd_charge,
+# name -> (command, help): the one table of subcommands
+COMMANDS = {
+    "map": (cmd_map, "feedforward (d, s) grid over reference angles"),
+    "trajectory": (cmd_trajectory, "open-loop reference sweep"),
+    "lowpower": (cmd_lowpower, "fixed-frequency dimming curves W/W0(s_add)"),
+    "charge": (cmd_charge, "closed-loop CC/CV charger scenario"),
 }
 
 
@@ -283,11 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "feedforward maps, trajectory sweeps, dimming curves "
                     "and the charger scenario, as CSV.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("map", "feedforward (d, s) grid over reference angles"),
-            ("trajectory", "open-loop reference sweep"),
-            ("lowpower", "fixed-frequency dimming curves W/W0(s_add)"),
-            ("charge", "closed-loop CC/CV charger scenario")):
+    for name, (_command, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output CSV path (default stdout)")
@@ -300,7 +286,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         values = _collect(args)
-        return COMMANDS[args.command](values, args.out)
+        return COMMANDS[args.command][0](values, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -160,23 +160,24 @@ def fully_driven_maps(gain: float, g_star: float) -> Tuple[float, float]:
 
 
 def beta_zero_maps(gain: float) -> Tuple[float, float]:
-    """Feedforward maps with both waveforms aligned (beta = 0).
+    """Feedforward maps with both waveforms aligned (beta = 0): the
+    (d, s) of the exact inverse at sigma* = delta* = s_add = 0.
 
-    G <= 1: d = acos(1 - 2 G), s = 0; G > 1: d = pi,
-    s = acos(2/G - 1).  Both satisfy 1 - G - cos d - G cos s = 0.
+    They are G <= 1: d = acos(1 - 2 G), s = 0; G > 1: d = pi,
+    s = acos(2/G - 1), and satisfy 1 - G - cos d - G cos s = 0.
     """
     if not gain > 0:
         raise ValueError("gain must be positive")
-    if gain <= 1.0:
-        return math.acos(1.0 - 2.0 * gain), 0.0
-    return math.pi, math.acos(2.0 / gain - 1.0)
+    d, s, _beta, _s_min, _boost, _ok = k.invert_exact(0.0, 0.0, 0.0, gain)
+    return d, s
 
 
 def linearized_inverse(refs: ControlReferences, gain: float) -> Tuple[float, float, float]:
     """Piecewise linearization of the inverse map around
-    sigma* = delta* = 0.
+    sigma* = delta* = 0: the beta_zero_maps point with sigma* added to d
+    for G < 1, or delta* subtracted from s for G > 1.
 
-    G < 1: d = acos(1 - 2 G) + sigma*, s = 0;
+    That is G < 1: d = acos(1 - 2 G) + sigma*, s = 0;
     G > 1: d = pi, s = pi - acos(1 - 2/G) - delta*;
     beta = sigma* + delta*.  Only an approximation of the exact maps and
     singular at G = 1, where the tank current collapses.
@@ -188,11 +189,9 @@ def linearized_inverse(refs: ControlReferences, gain: float) -> Tuple[float, flo
         raise ValueError("gain must be positive")
     if abs(gain - 1.0) < 1e-6:
         raise UndefinedAtUnityGainError("linearized map undefined at G = 1")
-    beta = refs.sigma_ref + refs.delta_ref
+    d, s = beta_zero_maps(gain)
     if gain < 1.0:
-        d = math.acos(1.0 - 2.0 * gain) + refs.sigma_ref
-        s = 0.0
+        d += refs.sigma_ref
     else:
-        d = math.pi
-        s = math.pi - math.acos(1.0 - 2.0 / gain) - refs.delta_ref
-    return d, s, beta
+        s -= refs.delta_ref
+    return d, s, refs.sigma_ref + refs.delta_ref

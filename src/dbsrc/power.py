@@ -69,9 +69,12 @@ def required_impedance(h: float, w_ref: float, turns_ratio: float) -> float:
     Z = n H / (2 pi^2 W*).
 
     Raises:
+        ValueError: for W* negative or NaN.
         ZeroPowerReferenceError: for W* = 0 (infinite impedance; the
             caller must take the low-power/shutdown path).
     """
+    if not w_ref >= 0:
+        raise ValueError("W* must be non-negative")
     if w_ref == 0:
         raise ZeroPowerReferenceError(
             "W* = 0 needs infinite impedance; use the low-power path")
@@ -93,10 +96,11 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
                            tank: TankConfig) -> Tuple[float, float, float]:
     """Combined fully-driven feedforward law (d = pi throughout).
 
-    (beta, s) from fully_driven_maps; then the H/Z split
-    Z = n H / (2 pi^2 W*) with H = 8 (cos s + 1) sqrt(1 - G cos(beta + s))
-    and the above-resonance frequency for that Z.  For G <= G* this
-    reduces to W = 8 n / pi^2 * sqrt(1 - G^2) / Z.
+    (beta, s) from fully_driven_maps; then Z is the forward model's W at
+    (pi, s, beta) and unit reactance over W*, since W is proportional to
+    1/Z, and omega is the above-resonance frequency for that Z.  That Z
+    is n H / (2 pi^2 W*) with H = 8 (cos s + 1) sqrt(1 - G cos(beta + s)),
+    and for G <= G* W = 8 n / pi^2 * sqrt(1 - G^2) / Z.
 
     Returns (beta, s, omega).
 
@@ -107,9 +111,8 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
     if w_ref <= 0:
         raise ZeroPowerReferenceError("W* must be positive")
     beta, s = fully_driven_maps(gain, g_star)
-    arg = max(1.0 - gain * math.cos(beta + s), 0.0)
-    z = k.hz_split(8.0 * (math.cos(s) + 1.0) * math.sqrt(arg), w_ref,
-                   tank.turns_ratio)
+    amp, _sigma, delta, _degenerate = k.forward_point(math.pi, s, beta, gain)
+    z = k.w_from_amplitude(amp, s, delta, 1.0, tank.turns_ratio) / w_ref
     return beta, s, frequency_from_impedance(z, tank)
 
 

@@ -16,7 +16,8 @@ REMOVED = {
     _kernels: ("q_reference", "clamped_acos", "transconductance_point"),
     charger: ("SensorLag", "ControllerGains", "Uncertainties"),
     charger.Trace: ("beta_offset",),
-    cli: ("Schema", "_from_config", "_CHARGE_CLASSES", "_LIBRARY_ONLY"),
+    cli: ("Schema", "_from_config", "_CHARGE_CLASSES", "_LIBRARY_ONLY",
+          "_linspace"),
 }
 
 

@@ -136,6 +136,23 @@ class TestScenarioConfig:
             ScenarioConfig(**{name: -1})
         ScenarioConfig(**{name: 0})
 
+    @pytest.mark.parametrize("value", [1.5, 2.0])
+    def test_non_integral_seed_rejected(self, value):
+        # a float seed fails here, not mid-run in numpy
+        with pytest.raises(ValueError, match="seed"):
+            ScenarioConfig(seed=value, noise_std_w=1e-5, duration=0.2)
+        ScenarioConfig(seed=np.int64(2), noise_std_w=1e-5, duration=0.2)
+
+    @pytest.mark.parametrize("name", [
+        "sigma_kp", "sigma_ki", "delta_kp", "delta_ki", "w_kp", "w_ki",
+        "volt_kp", "volt_ki"])
+    def test_negative_gain_rejected(self, name):
+        # each loop's error is ref - meas on a channel that rises with
+        # its actuator, so a negative gain is positive feedback
+        with pytest.raises(ValueError, match="non-negative"):
+            ScenarioConfig(**{name: -1.0})
+        ScenarioConfig(**{name: 0.0})
+
     @pytest.mark.parametrize("name", [
         "v_in", "i_cc", "v_cv", "dt", "duration", "time_scale",
         "capacity_ah", "v_empty", "v_full", "initial_charge_ah",

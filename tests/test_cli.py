@@ -116,6 +116,23 @@ class TestTrajectory:
         s_values = {r[8] for r in rows}
         assert len(d_values) == 1 and len(s_values) == 1
 
+    @pytest.mark.parametrize("case", ["sigma_amp=1.6", "s_add_offset=3.0"])
+    def test_references_out_of_domain_rejected(self, tmp_path, case):
+        # each row's references are checked by ControlReferences
+        code, text = run_cmd(tmp_path, "trajectory", "--set", case)
+        assert code == EXIT_CONFIG
+        assert text == ""
+
+    def test_negative_amplitude_runs(self, tmp_path):
+        # a negative amplitude is a sinusoid in antiphase, inside the
+        # reference domain
+        code, text = run_cmd(tmp_path, "trajectory", "--set",
+                             "sigma_amp=-0.3")
+        assert code == EXIT_OK
+        _header, rows = rows_of(text)
+        assert float(rows[100][2]) == pytest.approx(
+            -0.3 * math.sin(2 * math.pi * 1.5 * 0.1), abs=1e-15)
+
 
 class TestLowpower:
     def test_curves(self, tmp_path):
@@ -233,7 +250,8 @@ class TestConfigHandling:
         "charge L=-1", "charge v_cv=nan", "charge w_kp=nan",
         "charge sigma_ki=inf", "charge dt=nan", "charge duration=inf",
         "charge sensor_tau=nan", "charge beta_offset=inf",
-        "charge seed=-1 noise_std_w=1e-5", "map gain=nan",
+        "charge seed=-1 noise_std_w=1e-5", "charge sigma_kp=-1",
+        "map gain=nan",
         "map sigma_stop=1.7", "map s_add=4",
         "lowpower sigma_ref=1.5707963267948966", "lowpower gains=0.5,-1",
     ], ids=lambda case: case.replace(" ", "-"))

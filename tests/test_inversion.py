@@ -379,6 +379,20 @@ class TestFullyDrivenMaps:
         assert beta == pytest.approx(math.acos(0.95), abs=1e-15)
 
 
+def closed_form_beta_zero(gain):
+    """Reference copy of the beta = 0 maps' closed form."""
+    if gain <= 1.0:
+        return math.acos(1.0 - 2.0 * gain), 0.0
+    return math.pi, math.acos(2.0 / gain - 1.0)
+
+
+def closed_form_linearized(sigma_ref, delta_ref, gain):
+    """Reference copy of the linearized inverse's closed form."""
+    if gain < 1.0:
+        return math.acos(1.0 - 2.0 * gain) + sigma_ref, 0.0
+    return math.pi, math.pi - math.acos(1.0 - 2.0 / gain) - delta_ref
+
+
 class TestBetaZeroMaps:
     def test_examples(self):
         assert beta_zero_maps(0.5) == (pytest.approx(math.pi / 2, abs=1e-15), 0.0)
@@ -393,6 +407,17 @@ class TestBetaZeroMaps:
             d, s = beta_zero_maps(gain)
             residual = 1.0 - gain - math.cos(d) - gain * math.cos(s)
             assert abs(residual) < 1e-12
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(gain=st.floats(0.05, 3.0))
+    @example(1.0)
+    @example(1.0 + 1e-15)
+    def test_view_of_the_inverse_matches_closed_form_property(self, gain):
+        # the exact inverse at sigma* = delta* = s_add = 0
+        d, s = beta_zero_maps(gain)
+        d_ref, s_ref = closed_form_beta_zero(gain)
+        assert abs(d - d_ref) <= 1e-14
+        assert abs(s - s_ref) <= 1e-14
 
 
 class TestLinearizedInverse:
@@ -411,6 +436,18 @@ class TestLinearizedInverse:
     def test_unity_gain_rejected(self):
         with pytest.raises(UndefinedAtUnityGainError):
             linearized_inverse(refs(0.1, 0.0), 1.0)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(sigma_ref=st.floats(-math.pi / 2, math.pi / 2),
+           delta_ref=st.floats(-math.pi / 2, math.pi / 2),
+           gain=st.floats(0.05, 3.0).filter(lambda g: abs(g - 1.0) >= 1e-6))
+    def test_view_of_beta_zero_matches_closed_form_property(
+            self, sigma_ref, delta_ref, gain):
+        d, s, beta = linearized_inverse(refs(sigma_ref, delta_ref), gain)
+        d_ref, s_ref = closed_form_linearized(sigma_ref, delta_ref, gain)
+        assert abs(d - d_ref) <= 1e-14
+        assert abs(s - s_ref) <= 1e-14
+        assert beta == sigma_ref + delta_ref
 
     def test_first_order_agreement_with_exact(self):
         # |linearized - exact| shrinks quadratically in the reference size

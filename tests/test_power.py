@@ -12,11 +12,13 @@ from dbsrc import (ControlReferences, InfeasibleReferenceError,
                    PowerSolution, SwitchingParams, TankConfig, UnreachablePowerError,
                    ZeroPowerReferenceError, default_tank,
                    frequency_from_impedance, fully_driven_frequency,
+                   fully_driven_maps,
                    gain_term_h, invert_alignment, required_impedance,
                    s_add_zero_boundary, solve_controls, tank_impedance,
                    transconductance, try_invert_alignment)
 from dbsrc import _kernels as k
 
+EPS = np.finfo(float).eps
 TANK = TankConfig(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
                   omega_max=2 * math.pi * 165e3)
 
@@ -61,6 +63,12 @@ class TestRequiredImpedance:
         with pytest.raises(ZeroPowerReferenceError):
             required_impedance(8.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("w_ref", [-0.05, -math.inf, math.nan])
+    def test_negative_or_nan_reference_rejected(self, w_ref):
+        # no negative or NaN reactance from a bad W*
+        with pytest.raises(ValueError, match="W"):
+            required_impedance(1.0, w_ref, 1.0)
+
 
 class TestFrequencyFromImpedance:
     def test_resonance(self):
@@ -94,6 +102,30 @@ class TestFullyDrivenFrequency:
     def test_unity_boundary_hits_resonance(self):
         _beta, _s, omega = fully_driven_frequency(1.0, 1.0, 0.05, TANK)
         assert omega == pytest.approx(TANK.omega_resonant, rel=1e-12)
+        # the tank current collapses there, so Z is exactly 0
+        assert omega == frequency_from_impedance(0.0, TANK)
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(gain=st.floats(0.0, 3.0, exclude_min=True),
+           g_star=st.floats(0.05, 1.0), w_ref=st.floats(1e-4, 0.2))
+    @example(1.0, 1.0, 0.05)
+    @example(0.95, 0.95, 0.05)
+    def test_forward_model_view_matches_closed_form_property(
+            self, gain, g_star, w_ref):
+        # reference copy of the closed-form law: Z = n H / (2 pi^2 W*)
+        # with H = 8 (cos s + 1) sqrt(1 - G cos(beta + s)).  Near the
+        # collapse G = G* = 1 the closed form itself loses about eps/arg
+        # to cancellation (2.6e-13 at G = 1, G* = 0.99999, where the view
+        # is within 8e-15 of a 50-digit evaluation), hence that term
+        beta_ref, s_ref = fully_driven_maps(gain, g_star)
+        arg = 1.0 - gain * math.cos(beta_ref + s_ref)
+        h = 8.0 * (math.cos(s_ref) + 1.0) * math.sqrt(max(arg, 0.0))
+        z = TANK.turns_ratio * h / (2.0 * math.pi ** 2 * w_ref)
+        omega_ref = frequency_from_impedance(z, TANK)
+        beta, s, omega = fully_driven_frequency(gain, g_star, w_ref, TANK)
+        assert (beta, s) == (beta_ref, s_ref)
+        tol = 1e-14 + (4 * EPS / arg if arg > 0 else 0.0)
+        assert abs(omega - omega_ref) <= tol * omega_ref
 
     def test_forward_model_agreement(self):
         # the returned point must deliver the requested W through the
