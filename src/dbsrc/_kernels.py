@@ -11,14 +11,17 @@ the rightmost crossing of the dimming curve H(s_add) with its target.
 Cold, it walks the SCAN_STEP grid down from pi and bisects the crossing
 cell: about 240 H evaluations.  Warm, it starts from the previous
 step's root and the previous bound on the last local maximum of
-max(H, 0): the bound is re-tracked along the grid, the crossing is
+max(H, 0): the bound is re-tracked along the grid, and the crossing is
 bracketed on [bound, pi], where max(H, 0) is non-increasing and the
-crossing of the positive target unique, starting one Newton step from
-the previous root on the previous solve's slope dH/ds, and Illinois
-regula falsi narrows the bracket; the scan then evaluates only inside
-it, so the warm root is the cold scan's, bit for bit, after 9 to 11
-evaluations on the charger workloads.  When there is no such bracket
-the cold scan runs and the solve reports a fallback.
+crossing of the positive target unique.  The bracket is the previous
+root's own bisection cell when the target still crosses inside it,
+which is most steps of a slow CV taper; otherwise it starts one Newton
+step from the previous root on the previous solve's slope dH/ds, and
+Illinois regula falsi narrows it.  The scan then evaluates only inside
+the bracket, so the warm root is the cold scan's, bit for bit, after
+about 7.6 (charge-default) to 10.4 (charge-trickle) evaluations.  When
+there is no such bracket the cold scan runs and the solve reports a
+fallback.
 
 That warm state, (s_add, s_peak, slope) after a low-power solve, is
 read only here: solve_controls_scan returns it as its last element,
@@ -26,12 +29,12 @@ and its callers pass whatever they got back as the next call's warm,
 without looking inside.
 """
 
-import math
+# The math functions and pi are module globals, bound once at import:
+# in pure Python a global load is cheaper than an attribute lookup on
+# math, and every H evaluation makes about ten of them
+from math import acos, atan2, cos, pi as PI, sin, sqrt
 
-# pi as module constants: in pure Python a global load is cheaper
-# than math.pi, which the scan's H evaluations use about ten times
-PI = math.pi
-TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * PI
 
 DEGENERATE_AMP_SQ = 1e-24   # A^2 + B^2 below this means tank-current collapse
 ACOS_CLAMP_TOL = 1e-9       # tolerated overshoot of |acos argument| past 1.0
@@ -54,24 +57,20 @@ while SCAN_GRID[-1] > 0.0:
     SCAN_GRID.append(SCAN_GRID[-1] - SCAN_STEP)
 SCAN_GRID = tuple(SCAN_GRID)
 
+# half the width of _scan_root's final cell (a grid cell halved while it
+# is wider than BISECT_TOL), less 1e-14 for the rounding of the cell's
+# ends (at most 4e-16 off): [root - CELL_HALF, root + CELL_HALF] lies
+# inside the cell whose midpoint the root is
+CELL_HALF = SCAN_STEP
+while CELL_HALF > BISECT_TOL:
+    CELL_HALF *= 0.5
+CELL_HALF = 0.5 * CELL_HALF - 1e-14
+
 # solver status codes
 OK_ANALYTIC = 0
 OK_LOWPOWER = 1
 INFEASIBLE = 2
 UNREACHABLE = 3
-
-
-def harmonic_ab(d, s, beta, gain):
-    """First-harmonic coefficients of the bridge voltage difference.
-
-    A = 4 sin d + 4 G sin(beta+s) + 4 G sin beta
-    B = 4 - 4 G cos(beta+s) - 4 G cos beta - 4 cos d
-    """
-    a = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
-        + 4.0 * gain * math.sin(beta)
-    b = 4.0 - 4.0 * gain * math.cos(beta + s) - 4.0 * gain * math.cos(beta) \
-        - 4.0 * math.cos(d)
-    return a, b
 
 
 def tank_impedance(omega, ind, cap):
@@ -85,29 +84,36 @@ def omega_from_impedance(z, ind, cap):
     omega = (sqrt(C^2 Z^2 + 4 L C) + C Z) / (2 L C); z = 0 gives the
     resonant frequency 1/sqrt(LC).
     """
-    return (math.sqrt(cap * cap * z * z + 4.0 * ind * cap) + cap * z) \
+    return (sqrt(cap * cap * z * z + 4.0 * ind * cap) + cap * z) \
         / (2.0 * ind * cap)
 
 
 def forward_point(d, s, beta, gain):
     """Alignment angles and harmonic amplitude at one switching point.
 
+    The first-harmonic coefficients of the bridge voltage difference are
+    A = 4 sin d + 4 G sin(beta+s) + 4 G sin beta and
+    B = 4 - 4 G cos(beta+s) - 4 G cos beta - 4 cos d, and
+    sigma = atan2(B, A), delta = beta - sigma.
+
     Returns (amp, sigma, delta, degenerate) with amp = sqrt(A^2+B^2).
     When the coefficients collapse (amp^2 < DEGENERATE_AMP_SQ) the
     angles are undefined; degenerate is set and zeros are returned.
     """
-    a, b = harmonic_ab(d, s, beta, gain)
+    g4 = 4.0 * gain
+    a = 4.0 * sin(d) + g4 * sin(beta + s) + g4 * sin(beta)
+    b = 4.0 - g4 * cos(beta + s) - g4 * cos(beta) - 4.0 * cos(d)
     amp_sq = a * a + b * b
     if amp_sq < DEGENERATE_AMP_SQ:
         return 0.0, 0.0, 0.0, True
-    sigma = math.atan2(b, a)
-    return math.sqrt(amp_sq), sigma, beta - sigma, False
+    sigma = atan2(b, a)
+    return sqrt(amp_sq), sigma, beta - sigma, False
 
 
 def w_from_amplitude(amp, s, delta, z, ratio):
     """W = n/(2 pi^2) * sqrt(A^2+B^2)/Z * (cos(s+delta) + cos delta)."""
     return ratio / (2.0 * PI ** 2) * amp / z \
-        * (math.cos(s + delta) + math.cos(delta))
+        * (cos(s + delta) + cos(delta))
 
 
 def hz_split(h, w_or_z, ratio):
@@ -137,7 +143,7 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     beta += delta_reg), q is clamped to [0, 2 pi] and beta to [-pi, pi],
     and q is split into (d, s): (q, s_add) while q <= pi, else
     (boost d, q - pi).  The point is feasible when the references are
-    and the in-phase coefficient A of harmonic_ab is at least A_MIN
+    and the in-phase coefficient A of forward_point is at least A_MIN
     there.  H = A * (cos(s + delta*) + cos(delta*)) / cos(sigma*), and
     0.0 wherever the point is infeasible.
 
@@ -153,8 +159,8 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
 
     Returns (d, s, beta, h, feasible, is_boost).
     """
-    cs, cd = math.cos(sigma_ref), math.cos(delta_ref)
-    cds = math.cos(delta_ref + s_add)
+    cs, cd = cos(sigma_ref), cos(delta_ref)
+    cds = cos(delta_ref + s_add)
     is_boost = 2.0 * cs < gain * (cds + cd)
     x = cd - 2.0 * cs / gain if is_boost else cs - gain * cd - gain * cds
     feasible = True
@@ -168,7 +174,7 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     if not feasible:
         q = 0.0
     elif is_boost:
-        q = TWO_PI - math.acos(x) - delta_ref + s_add
+        q = TWO_PI - acos(x) - delta_ref + s_add
         if s_add == 0.0:
             # at s = s_min the acos argument is -cos(sigma*) analytically;
             # evaluating it numerically loses ~sqrt(eps) near the acos
@@ -176,14 +182,14 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
             # itself (the paper's d = pi split) for sigma* >= 0
             d = PI if sigma_ref >= 0.0 else PI + sigma_ref - abs(sigma_ref)
         else:
-            x = cs - gain * math.cos(delta_ref + (q - PI)) - gain * cd
+            x = cs - gain * cos(delta_ref + (q - PI)) - gain * cd
             ok = not (x > 1.0 + ACOS_CLAMP_TOL or x < -1.0 - ACOS_CLAMP_TOL)
-            d = (math.acos(min(max(x, -1.0), 1.0)) if ok else 0.0) + sigma_ref
+            d = (acos(min(max(x, -1.0), 1.0)) if ok else 0.0) + sigma_ref
             feasible = ok and -RANGE_TOL <= d <= PI + RANGE_TOL
             d = min(max(d, 0.0), PI)
         feasible = feasible and -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
     else:
-        q = math.acos(x) + sigma_ref
+        q = acos(x) + sigma_ref
         feasible = -RANGE_TOL <= q <= TWO_PI + RANGE_TOL
     beta = sigma_ref + delta_ref + delta_reg
     q = q + sigma_reg
@@ -199,9 +205,9 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
         d, s = q, s_add
     else:
         s = q - PI
-        cds = math.cos(s + delta_ref)
-    a = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
-        + 4.0 * gain * math.sin(beta)
+        cds = cos(s + delta_ref)
+    a = 4.0 * sin(d) + 4.0 * gain * sin(beta + s) \
+        + 4.0 * gain * sin(beta)
     if a < A_MIN or not feasible:
         return d, s, beta, 0.0, False, is_boost
     return d, s, beta, a * (cds + cd) / cs, True, is_boost
@@ -344,23 +350,28 @@ def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
 def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
                   h_target, x0, slope):
     """Bracket [a, b] of H = h_target inside [s_lo, pi] with
-    H(a) > h_target >= H(b): widen geometrically from x0 by WARM_STEP,
-    then narrow with Illinois regula falsi (Dowell & Jarratt 1971) to
-    BISECT_TOL.
+    H(a) > h_target >= H(b), searched from x0, the previous root: widen
+    geometrically from x = x0 - CELL_HALF by WARM_STEP, then narrow with
+    Illinois regula falsi (Dowell & Jarratt 1971) to BISECT_TOL.
 
     With slope < 0, the dH/ds carried from the previous solve's bracket,
-    the widening starts by NEWTON_STEP instead, from one Newton step
-    x0 - (H(x0) - h_target) / slope clamped to [s_lo, pi] when that step
-    is longer than NEWTON_STEP (a shorter one does not pay for its
-    evaluation), else from x0.  slope = 0.0 (not known yet) or NaN
-    skips both.  A wrong slope can cost evaluations but cannot move the
-    bracket off the crossing, which the widening checks by sign.
+    the previous root's cell [x, x0 + CELL_HALF] comes first: when one
+    Newton step x - (H(x) - h_target) / slope lands inside it and H at
+    its upper end is at or below the target, the cell is the bracket.
+    It lies inside the scan's cell of x0, so the scan evaluates nothing
+    in it.  Otherwise the widening starts by NEWTON_STEP, from one
+    Newton step clamped to [s_lo, pi] when that step is longer than
+    NEWTON_STEP (a shorter one does not pay for its evaluation), else
+    from x.  slope = 0.0 (not known yet) or NaN skips both.  A wrong
+    slope can cost evaluations but cannot move the bracket off the
+    crossing, which every path checks by sign.
 
     Returns (a, b, slope, evaluations), the slope being the secant of
-    the widened bracket; a is -1.0, and the slope 0.0, when [s_lo, pi]
-    holds no bracket or the narrowing does not converge.
+    the widened bracket, or the carried one for the cell; a is -1.0, and
+    the slope 0.0, when [s_lo, pi] holds no bracket or the narrowing
+    does not converge.
     """
-    x = min(max(x0, s_lo), PI)
+    x = min(max(x0 - CELL_HALF, s_lo), PI)
     fx = regulated_point(sigma_ref, delta_ref, x, gain, sigma_reg,
                          delta_reg)[3] - h_target
     n = 1
@@ -368,7 +379,15 @@ def _warm_bracket(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     if slope < 0.0:
         step = NEWTON_STEP
         dx = fx / slope
-        if dx > NEWTON_STEP or dx < -NEWTON_STEP:
+        b = min(x0 + CELL_HALF, PI)
+        if fx > 0.0 and x - dx <= b:
+            fb = regulated_point(sigma_ref, delta_ref, b, gain, sigma_reg,
+                                 delta_reg)[3] - h_target
+            n = 2
+            if fb <= 0.0:
+                return x, b, slope, n
+            x, fx = b, fb       # crossing right of the cell
+        elif dx > NEWTON_STEP or dx < -NEWTON_STEP:
             x -= dx
             if x < s_lo:
                 x = s_lo
@@ -447,9 +466,11 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     not known yet) and the previous solve's dH/ds at s_prev (0.0: not
     known yet).  The bound is tracked from s_peak and the crossing
     bracketed on [bound, pi], where max(H, 0) is non-increasing and the
-    crossing of the positive target unique, starting from s_prev or,
-    when slope < 0, one Newton step off it; the scan then evaluates only
-    inside that bracket, which gives the cold scan's s_add bit for bit.
+    crossing of the positive target unique: when slope < 0, by s_prev's
+    own bisection cell if the target still crosses inside it, else from
+    s_prev or one Newton step off it (_warm_bracket); the scan then
+    evaluates only inside that bracket, which gives the cold scan's
+    s_add bit for bit.
     Without a bracket there (the crossing moved left of the hump, or
     none was found) the cold scan runs and the fallback flag is set.
 

@@ -184,6 +184,7 @@ def linearized_inverse(refs: ControlReferences, gain: float) -> Tuple[float, flo
 
     Raises:
         UndefinedAtUnityGainError: for |G - 1| < 1e-6.
+        ValueError: where the shift carries d or s out of [0, pi].
     """
     if not gain > 0:
         raise ValueError("gain must be positive")
@@ -194,4 +195,5 @@ def linearized_inverse(refs: ControlReferences, gain: float) -> Tuple[float, flo
         d += refs.sigma_ref
     else:
         s -= refs.delta_ref
-    return d, s, refs.sigma_ref + refs.delta_ref
+    # SwitchingParams' range checks: a shift can carry d or s out of [0, pi]
+    return SwitchingParams(d, s, refs.sigma_ref + refs.delta_ref)[:3]

@@ -4,7 +4,7 @@ converter.
 The forward plant map: given PWM commutation parameters (d, s, beta,
 omega), voltage gain G and the tank (L, C, n), compute the
 waveform-alignment angles sigma = atan2(B, A) and delta = beta - sigma
-from the harmonic coefficients A, B (_kernels.harmonic_ab), the tank
+from the harmonic coefficients A, B (_kernels.forward_point), the tank
 current amplitude and the output transconductance W = I_out / V_in.
 
 All operations are pure functions of their arguments.  Angles are plain
@@ -56,6 +56,28 @@ class _SwitchingFields(NamedTuple):
     omega: Optional[float] = None
 
 
+_ANGLE_MIN = -k.RANGE_TOL
+_ANGLE_MAX = math.pi + k.RANGE_TOL
+_BETA_MIN = -math.pi - k.RANGE_TOL
+
+
+def _checked_params(cls, d: float, s: float, beta: float,
+                    omega: Optional[float] = None):
+    """The range checks of SwitchingParams, then the record of class cls
+    built by tuple.__new__.  This is SwitchingParams.__new__ itself;
+    solve_controls calls it directly, without the cost of a class call,
+    since it runs once per control step."""
+    if not _ANGLE_MIN <= d <= _ANGLE_MAX:
+        raise ValueError(f"d out of [0, pi]: {d}")
+    if not _ANGLE_MIN <= s <= _ANGLE_MAX:
+        raise ValueError(f"s out of [0, pi]: {s}")
+    if not _BETA_MIN <= beta <= _ANGLE_MAX:
+        raise ValueError(f"beta out of [-pi, pi]: {beta}")
+    if omega is not None and not omega > 0:
+        raise ValueError("omega must be positive")
+    return tuple.__new__(cls, (d, s, beta, omega))
+
+
 class SwitchingParams(_SwitchingFields):
     """PWM commutation tuple driving both bridges: an immutable
     NamedTuple record (d, s, beta, omega), so it compares equal to and
@@ -65,23 +87,11 @@ class SwitchingParams(_SwitchingFields):
     radians in [0, pi]), beta the inter-bridge phase shift in [-pi, pi]
     and omega the angular switching frequency (rad/s).  omega may be
     None for results of the inversion maps, which determine d, s, beta
-    only.  The ranges are checked on construction (``_make`` and
-    ``_replace`` skip the checks).
+    only.  The ranges are checked on construction by _checked_params
+    (``_make`` and ``_replace`` skip the checks).
     """
     __slots__ = ()
-
-    def __new__(cls, d: float, s: float, beta: float,
-                omega: Optional[float] = None):
-        tol = k.RANGE_TOL
-        if not -tol <= d <= math.pi + tol:
-            raise ValueError(f"d out of [0, pi]: {d}")
-        if not -tol <= s <= math.pi + tol:
-            raise ValueError(f"s out of [0, pi]: {s}")
-        if not -math.pi - tol <= beta <= math.pi + tol:
-            raise ValueError(f"beta out of [-pi, pi]: {beta}")
-        if omega is not None and not omega > 0:
-            raise ValueError("omega must be positive")
-        return tuple.__new__(cls, (d, s, beta, omega))
+    __new__ = _checked_params
 
 
 def alignment_angles(p: SwitchingParams, gain: float) -> Tuple[float, float]:

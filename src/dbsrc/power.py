@@ -23,7 +23,7 @@ from . import _kernels as k
 from .errors import (InfeasibleReferenceError, UnreachablePowerError,
                      ZeroPowerReferenceError)
 from .inversion import ControlReferences, fully_driven_maps
-from .model import SwitchingParams, TankConfig
+from .model import SwitchingParams, TankConfig, _checked_params
 
 
 class PowerSolution(NamedTuple):
@@ -106,8 +106,10 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
 
     Raises:
         ZeroPowerReferenceError: for W* <= 0.
-        ValueError: for G <= 0 or G* outside (0, 1].
+        ValueError: for W* NaN, G <= 0 or G* outside (0, 1].
     """
+    if math.isnan(w_ref):
+        raise ValueError("W* must be positive, not NaN")
     if w_ref <= 0:
         raise ZeroPowerReferenceError("W* must be positive")
     beta, s = fully_driven_maps(gain, g_star)
@@ -182,5 +184,7 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
         raise UnreachablePowerError(
             f"W*={w_ref} unreachable at omega_max with references "
             f"(sigma*={refs.sigma_ref}, delta*={refs.delta_ref})")
-    return PowerSolution(SwitchingParams(d, s, beta, omega), s_used, w_got,
-                         status == k.OK_LOWPOWER, warm)
+    # no class calls, once per control step; the range checks still run
+    return tuple.__new__(PowerSolution, (
+        _checked_params(SwitchingParams, d, s, beta, omega), s_used, w_got,
+        status == k.OK_LOWPOWER, warm))

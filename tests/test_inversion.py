@@ -437,14 +437,36 @@ class TestLinearizedInverse:
         with pytest.raises(UndefinedAtUnityGainError):
             linearized_inverse(refs(0.1, 0.0), 1.0)
 
+    def test_shift_out_of_range_rejected(self):
+        # acos(1 - 1.8) + 1.0 = 3.498 > pi: SwitchingParams' range check
+        with pytest.raises(ValueError, match="d out of \\[0, pi\\]: 3.498"):
+            linearized_inverse(refs(1.0, 0.0), 0.9)
+
     @settings(max_examples=2000, deadline=None, derandomize=True)
     @given(sigma_ref=st.floats(-math.pi / 2, math.pi / 2),
            delta_ref=st.floats(-math.pi / 2, math.pi / 2),
            gain=st.floats(0.05, 3.0).filter(lambda g: abs(g - 1.0) >= 1e-6))
+    @example(1.0, 0.0, 0.9)
+    @example(0.0, 1.0, 1.1)
     def test_view_of_beta_zero_matches_closed_form_property(
             self, sigma_ref, delta_ref, gain):
-        d, s, beta = linearized_inverse(refs(sigma_ref, delta_ref), gain)
+        # the view equals the closed form where that lies in [0, pi]
+        # (SwitchingParams' tolerance) and raises ValueError elsewhere;
+        # within 1e-14 of a range end, where the two may round apart,
+        # either outcome passes
         d_ref, s_ref = closed_form_linearized(sigma_ref, delta_ref, gain)
+        lo, hi = -k.RANGE_TOL, math.pi + k.RANGE_TOL
+
+        def inside(x, slack):
+            return lo + slack <= x <= hi - slack
+
+        try:
+            d, s, beta = linearized_inverse(refs(sigma_ref, delta_ref), gain)
+        except ValueError as err:
+            assert "out of [0, pi]" in str(err)
+            assert not (inside(d_ref, 1e-14) and inside(s_ref, 1e-14))
+            return
+        assert inside(d_ref, -1e-14) and inside(s_ref, -1e-14)
         assert abs(d - d_ref) <= 1e-14
         assert abs(s - s_ref) <= 1e-14
         assert beta == sigma_ref + delta_ref

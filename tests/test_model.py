@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbsrc import (BelowResonanceError, DegenerateTankCurrentError,
                    SwitchingParams, TankConfig, alignment_angles,
@@ -17,6 +19,40 @@ TANK = TankConfig(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
 
 def params(d, s, beta, omega=None):
     return SwitchingParams(d=d, s=s, beta=beta, omega=omega)
+
+
+def harmonic_ab(d, s, beta, gain):
+    """Reference copy of the first-harmonic coefficients that
+    forward_point computes in its own frame:
+    A = 4 sin d + 4 G sin(beta+s) + 4 G sin beta,
+    B = 4 - 4 G cos(beta+s) - 4 G cos beta - 4 cos d."""
+    a = 4.0 * math.sin(d) + 4.0 * gain * math.sin(beta + s) \
+        + 4.0 * gain * math.sin(beta)
+    b = 4.0 - 4.0 * gain * math.cos(beta + s) - 4.0 * gain * math.cos(beta) \
+        - 4.0 * math.cos(d)
+    return a, b
+
+
+def reference_forward_point(d, s, beta, gain):
+    """forward_point as harmonic_ab followed by the amplitude, atan2,
+    delta = beta - sigma and the collapse test."""
+    a, b = harmonic_ab(d, s, beta, gain)
+    amp_sq = a * a + b * b
+    if amp_sq < k.DEGENERATE_AMP_SQ:
+        return 0.0, 0.0, 0.0, True
+    sigma = math.atan2(b, a)
+    return math.sqrt(amp_sq), sigma, beta - sigma, False
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(d=st.floats(0.0, math.pi), s=st.floats(0.0, math.pi),
+       beta=st.floats(-math.pi, math.pi), gain=st.floats(0.0, 3.0))
+def test_forward_point_is_the_reference_composition_property(d, s, beta,
+                                                             gain):
+    # bit for bit: repr tells every float apart, -0.0 from 0.0 included
+    got = k.forward_point(d, s, beta, gain)
+    assert list(map(repr, got)) == \
+        list(map(repr, reference_forward_point(d, s, beta, gain)))
 
 
 class TestSwitchingParamsRecord:
@@ -54,18 +90,18 @@ class TestSwitchingParamsRecord:
 
 class TestHarmonicCoefficients:
     def test_collapse_point(self):
-        a, b = k.harmonic_ab(math.pi, 0.0, 0.0, 1.0)
+        a, b = harmonic_ab(math.pi, 0.0, 0.0, 1.0)
         assert a * a + b * b < k.DEGENERATE_AMP_SQ
         assert b == 0.0
         assert k.forward_point(math.pi, 0.0, 0.0, 1.0)[3]
 
     def test_full_square_wave_no_load(self):
-        a, b = k.harmonic_ab(math.pi, 0.0, 0.0, 0.0)
+        a, b = harmonic_ab(math.pi, 0.0, 0.0, 0.0)
         assert abs(a) < 1e-14
         assert b == pytest.approx(8.0, abs=1e-14)
 
     def test_half_wave_buck(self):
-        a, b = k.harmonic_ab(math.pi / 2, 0.0, 0.0, 0.5)
+        a, b = harmonic_ab(math.pi / 2, 0.0, 0.0, 0.5)
         assert a == pytest.approx(4.0, abs=1e-14)
         assert b == pytest.approx(0.0, abs=1e-14)
 
@@ -75,7 +111,7 @@ class TestAlignmentAngles:
         # B = 4 - 8 G - 4 cos d vanishes in floats at d = 1, G = (1 - cos 1)/2
         # while A = 4 sin 1 > 0
         gain = (1.0 - math.cos(1.0)) / 2.0
-        assert k.harmonic_ab(1.0, 0.0, 0.0, gain)[1] == 0.0
+        assert harmonic_ab(1.0, 0.0, 0.0, gain)[1] == 0.0
         sigma, delta = alignment_angles(params(1.0, 0.0, 0.0), gain)
         assert sigma == 0.0
         assert delta == 0.0

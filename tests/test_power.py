@@ -142,6 +142,12 @@ class TestFullyDrivenFrequency:
         with pytest.raises(ZeroPowerReferenceError):
             fully_driven_frequency(0.5, 0.95, 0.0, TANK)
 
+    def test_nan_reference_rejected(self):
+        # NaN names W*, as required_impedance does, and is not taken for
+        # zero power
+        with pytest.raises(ValueError, match="W\\*"):
+            fully_driven_frequency(0.5, 0.95, math.nan, TANK)
+
 
 class TestSAddZeroBoundary:
     def test_exists_and_matches_h0(self):
@@ -201,6 +207,17 @@ class TestSolveControls:
         # the cold scan against a NaN target
         with pytest.raises(ValueError, match="W\\*"):
             solve_controls(refs(0.1, 0.0), 0.7, math.nan, TANK)
+
+    @pytest.mark.parametrize("corrections, message", [
+        ((math.nan, 0.0), "s out of \\[0, pi\\]: nan"),
+        ((0.0, math.nan), "beta out of \\[-pi, pi\\]: nan"),
+    ], ids=["sigma_reg", "delta_reg"])
+    def test_nan_correction_rejected(self, corrections, message):
+        # a NaN correction passes the kernel's clamps; SwitchingParams'
+        # range checks are what stop it
+        with pytest.raises(ValueError, match=message):
+            solve_controls(refs(0.1, 0.0), 0.9, 0.05, default_tank(),
+                           corrections)
 
     def test_zero_reference_full_short(self):
         sol = solve_controls(refs(0.1, 0.0), 0.7, 0.0, TANK)
