@@ -35,6 +35,7 @@ without looking inside.
 from math import acos, atan2, cos, pi as PI, sin, sqrt
 
 TWO_PI = 2.0 * PI
+TWO_PI_SQ = 2.0 * PI ** 2   # the 2 pi^2 of the H/Z split and of W
 
 DEGENERATE_AMP_SQ = 1e-24   # A^2 + B^2 below this means tank-current collapse
 ACOS_CLAMP_TOL = 1e-9       # tolerated overshoot of |acos argument| past 1.0
@@ -112,14 +113,14 @@ def forward_point(d, s, beta, gain):
 
 def w_from_amplitude(amp, s, delta, z, ratio):
     """W = n/(2 pi^2) * sqrt(A^2+B^2)/Z * (cos(s+delta) + cos delta)."""
-    return ratio / (2.0 * PI ** 2) * amp / z \
+    return ratio / TWO_PI_SQ * amp / z \
         * (cos(s + delta) + cos(delta))
 
 
 def hz_split(h, w_or_z, ratio):
     """The H/Z split W Z = n H / (2 pi^2): Z for W* given, or W for Z
     given."""
-    return ratio * h / (2.0 * PI ** 2 * w_or_z)
+    return ratio * h / (TWO_PI_SQ * w_or_z)
 
 
 def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):

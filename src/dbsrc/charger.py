@@ -288,7 +288,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
         w_ref = i_ref / v_in
 
         try:
-            params, s_add, _w, _low, warm = parallel_step(
+            params, s_add, _low, warm = parallel_step(
                 refs, w_ref, lag_sigma, lag_delta, lag_w,
                 pi_sigma, pi_delta, pi_w, gain, tank, warm=warm)
             w_true, sigma_true, delta_true = plant_step(params, cfg, gain)

@@ -105,7 +105,10 @@ def alignment_angles(p: SwitchingParams, gain: float) -> Tuple[float, float]:
     Raises:
         DegenerateTankCurrentError: at the collapse point A = B = 0,
             where the zero-crossing angle is physically undefined.
+        ValueError: for G < 0 or NaN.
     """
+    if not gain >= 0:
+        raise ValueError("gain must be non-negative")
     _amp, sigma, delta, degenerate = k.forward_point(p.d, p.s, p.beta, gain)
     if degenerate:
         raise DegenerateTankCurrentError(
@@ -139,7 +142,10 @@ def transconductance(p: SwitchingParams, gain: float, tank: TankConfig) -> float
 
     Raises:
         BelowResonanceError: if Z(omega) <= 0.
+        ValueError: for G < 0 or NaN.
     """
+    if not gain >= 0:
+        raise ValueError("gain must be non-negative")
     z = _impedance_above_resonance(p, tank)
     amp, _sigma, delta, _degenerate = k.forward_point(p.d, p.s, p.beta, gain)
     return k.w_from_amplitude(amp, p.s, delta, z, tank.turns_ratio)
@@ -171,6 +177,11 @@ def sync_rect_residual(p: SwitchingParams, gain: float) -> float:
     cos(beta) - G - cos(beta - d) - G cos(s); zero exactly when the
     output bridge is aligned with the tank current (delta = 0), given a
     positive in-phase coefficient.
+
+    Raises:
+        ValueError: for G < 0 or NaN.
     """
+    if not gain >= 0:
+        raise ValueError("gain must be non-negative")
     return math.cos(p.beta) - gain - math.cos(p.beta - p.d) \
         - gain * math.cos(p.s)

@@ -28,19 +28,17 @@ from .model import SwitchingParams, TankConfig, _checked_params
 
 class PowerSolution(NamedTuple):
     """Commutation parameters chosen by the power controller: an
-    immutable NamedTuple record (params, s_add, achieved_w, low_power,
-    warm), so it compares equal to and unpacks like a plain tuple.
+    immutable NamedTuple record (params, s_add, low_power, warm), so it
+    compares equal to and unpacks like a plain tuple.
 
     low_power is set when omega was pinned at omega_max and the output
-    was dimmed via s_add (W* = 0 included); achieved_w then carries the
-    scan result, otherwise it equals the request exactly.  achieved_w is
-    the W at the reference angles, which the forward model at params
-    confirms only at zero corrections (see solve_controls).  warm is
-    the low-power solver's state: pass sol.warm to the next solve.
+    was dimmed via s_add (W* = 0 included).  The W this point delivers
+    is the forward model's, transconductance(sol.params, gain, tank).
+    warm is the low-power solver's state: pass sol.warm to the next
+    solve.
     """
     params: SwitchingParams
     s_add: float
-    achieved_w: float
     low_power: bool
     warm: Optional[tuple] = None
 
@@ -69,12 +67,12 @@ def required_impedance(h: float, w_ref: float, turns_ratio: float) -> float:
     Z = n H / (2 pi^2 W*).
 
     Raises:
-        ValueError: for W* negative or NaN.
+        ValueError: for W* negative, infinite or NaN.
         ZeroPowerReferenceError: for W* = 0 (infinite impedance; the
             caller must take the low-power/shutdown path).
     """
-    if not w_ref >= 0:
-        raise ValueError("W* must be non-negative")
+    if not 0.0 <= w_ref < math.inf:
+        raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
     if w_ref == 0:
         raise ZeroPowerReferenceError(
             "W* = 0 needs infinite impedance; use the low-power path")
@@ -105,11 +103,11 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
     Returns (beta, s, omega).
 
     Raises:
-        ZeroPowerReferenceError: for W* <= 0.
-        ValueError: for W* NaN, G <= 0 or G* outside (0, 1].
+        ZeroPowerReferenceError: for finite W* <= 0.
+        ValueError: for W* NaN or infinite, G <= 0 or G* outside (0, 1].
     """
-    if math.isnan(w_ref):
-        raise ValueError("W* must be positive, not NaN")
+    if not -math.inf < w_ref < math.inf:
+        raise ValueError(f"W* must be finite and positive, not {w_ref}")
     if w_ref <= 0:
         raise ZeroPowerReferenceError("W* must be positive")
     beta, s = fully_driven_maps(gain, g_star)
@@ -156,23 +154,20 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     (s = pi) rather than an error.
 
     warm starts the low-power search from an earlier solve: pass sol.warm
-    to the next solve.  It then finds the scan's s_add with 9 to 11 H
-    evaluations instead of about 240 (see _kernels).  Without warm (the
-    default) every low-power solve is the full scan.
-
-    achieved_w is the W of H at the reference angles sigma*, delta*; the
-    forward model at the returned params confirms it only at zero
-    corrections, since nonzero ones move the angles and W with them.
+    to the next solve.  It then finds the scan's s_add with 7.6 to 10.4
+    H evaluations on average instead of about 240 (see _kernels).
+    Without warm (the default) every low-power solve is the full scan.
 
     Raises:
+        ValueError: for W* negative, infinite or NaN.
         InfeasibleReferenceError: references not invertible at this gain.
         UnreachablePowerError: no s_add in [0, pi] meets the request at
             omega <= omega_max (e.g. collapsed tank current).
     """
-    if not w_ref >= 0:
-        raise ValueError("W* must be non-negative")
+    if not 0.0 <= w_ref < math.inf:
+        raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
     sigma_reg, delta_reg = corrections
-    d, s, beta, omega, s_used, h, w_got, status, _fallback, _evals, \
+    d, s, beta, omega, s_used, _h, _w, status, _fallback, _evals, \
         warm = k.solve_controls_scan(
             refs.sigma_ref, refs.delta_ref, refs.s_add, gain, w_ref,
             sigma_reg, delta_reg, tank.inductance, tank.capacitance,
@@ -186,5 +181,5 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
             f"(sigma*={refs.sigma_ref}, delta*={refs.delta_ref})")
     # no class calls, once per control step; the range checks still run
     return tuple.__new__(PowerSolution, (
-        _checked_params(SwitchingParams, d, s, beta, omega), s_used, w_got,
+        _checked_params(SwitchingParams, d, s, beta, omega), s_used,
         status == k.OK_LOWPOWER, warm))

@@ -196,7 +196,7 @@ class TestParallelStep:
                             pi_w, 0.7, TANK, warm=warm)
         assert sol.low_power
         assert sol.warm is warm
-        assert sol.achieved_w == 0.0
+        assert transconductance(sol.params, 0.7, TANK) == 0.0
         corrections = (pis[2].step(0.1 - 0.12), pis[3].step(0.0 - 0.01))
         assert sol == solve_controls(refs(), 0.7, 0.0, TANK, corrections,
                                      warm)

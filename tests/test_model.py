@@ -279,3 +279,18 @@ class TestSyncRectResidual:
                 continue
             if abs(delta2) > 1e-3:
                 assert abs(sync_rect_residual(p2, gain)) > 1e-6
+
+
+@pytest.mark.parametrize("gain", [math.nan, -0.5])
+@pytest.mark.parametrize("forward_map", [
+    alignment_angles,
+    lambda p, gain: transconductance(p, gain, TANK),
+    sync_rect_residual,
+    lambda p, gain: tank_current_amplitude(p, gain, 600.0, TANK),
+], ids=["alignment_angles", "transconductance", "sync_rect_residual",
+        "tank_current_amplitude"])
+def test_bad_gain_rejected(forward_map, gain):
+    # a NaN or negative G would otherwise come back as a NaN or a number
+    p = params(math.pi / 2, 0.0, 0.0, omega=2 * math.pi * 120e3)
+    with pytest.raises(ValueError, match="gain must be non-negative"):
+        forward_map(p, gain)

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import dbsrc.charger
-from dbsrc import ScenarioConfig, default_tank, run_scenario
+from dbsrc import (ControlReferences, ScenarioConfig, UnreachablePowerError,
+                   default_tank, run_scenario, solve_controls)
 from dbsrc import _kernels as k
 from dbsrc.charger import TRACE_COLUMNS
 
@@ -103,6 +104,62 @@ def test_no_warm_state_is_the_cold_scan():
     assert out[7] == k.OK_LOWPOWER
     assert out[8:] == (False, out[9], (out[4], -1.0, 0.0))
     assert out[9] > 100        # every grid point right of the root
+
+
+TANK_ARGS = (TANK.inductance, TANK.capacitance, TANK.turns_ratio,
+             TANK.omega_max)
+
+
+# warm solves outside lowpower_states' domain that find no bracket:
+# _warm_bracket's three exits (no crossing left of the previous root; the
+# regula falsi not converging; no crossing right of x up to pi, here
+# after _last_peak bounds a curve that rises into pi)
+@pytest.mark.parametrize("args, warm, status, evaluations", [
+    ((0.6390909273849767, -0.23904046819562152, 0.0, 2.455361611980796,
+      0.013065333641745605, -0.1259401473040701, 0.47893229765171486),
+     (2.6797765070593025, -1.0, 0.0), k.OK_LOWPOWER, 699),
+    ((1.0769481365698936, -0.47787636975048364, 0.0, 0.9247391320588176,
+      0.006316370736139303, 0.3699203082226493, -0.34160967340572856),
+     (2.3063321253618225, 1.8837284075235303, -21.706049085888903),
+     k.UNREACHABLE, 432),
+    ((1.4181503335392587, 0.14355342411862915, 0.0, 1.749866453997007,
+      0.00012429528305573306, 0.37275110588317406, -0.5057446291098138),
+     (1.0, k.SCAN_GRID[1], -1.0), k.UNREACHABLE, 35),
+], ids=["no_crossing_left", "regula_falsi_stalls", "no_crossing_right"])
+def test_warm_solve_without_a_bracket_falls_back(args, warm, status,
+                                                 evaluations):
+    cold = k.solve_controls_scan(*args, *TANK_ARGS)
+    out = k.solve_controls_scan(*args, *TANK_ARGS, warm)
+    assert out[8] and not cold[8]
+    assert out[7] == status and out[9] == evaluations
+    assert out[:8] == cold[:8]
+
+
+def test_last_peak_bound_at_pi_when_the_curve_rises_into_it():
+    # a positive sigma_reg puts q past pi near s_add = pi, where H is
+    # then far from 0 and still rising
+    sigma_ref, delta_ref, gain, sigma_reg, delta_reg = (
+        1.4181503335392587, 0.14355342411862915, 1.749866453997007,
+        0.37275110588317406, -0.5057446291098138)
+    h = [k.regulated_point(sigma_ref, delta_ref, k.SCAN_GRID[j], gain,
+                           sigma_reg, delta_reg)[3] for j in range(3)]
+    assert h[0] > h[1] > h[2] > 0.0
+    assert k._last_peak(sigma_ref, delta_ref, 0.0, gain, sigma_reg,
+                        delta_reg, k.SCAN_GRID[1]) == (math.pi, 4)
+
+
+def test_scan_root_short_of_the_request_is_unreachable():
+    # the scan's crossing delivers 6.4% less than W*, past W_REL_TOL
+    refs = ControlReferences(0.5316748140458589, 1.0189761796177643)
+    gain, w_ref = 1.8912108347101384, 0.027472660978977662
+    corrections = (-0.25723053692363285, -0.18888800342477763)
+    with pytest.raises(UnreachablePowerError):
+        solve_controls(refs, gain, w_ref, TANK, corrections)
+    out = k.solve_controls_scan(refs.sigma_ref, refs.delta_ref, 0.0, gain,
+                                w_ref, *corrections, *TANK_ARGS)
+    assert out[7] == k.UNREACHABLE
+    assert out[9] > 100        # it is the scan's result, not an early exit
+    assert out[6] < (1.0 - k.W_REL_TOL) * w_ref
 
 
 PARALLEL_STEP = dbsrc.charger.parallel_step
