@@ -483,7 +483,8 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     infeasible, unreachable) it is the warm argument itself.
     """
     if w_ref <= 0.0:
-        # zero power: fully shorted secondary
+        # zero power: invert at s_add = pi, so s = pi while q <= pi and
+        # s = q - pi once a sigma correction pushes q past pi
         d, s, beta, h, _ok, _boost = regulated_point(
             sigma_ref, delta_ref, PI, gain, sigma_reg, delta_reg)
         return d, s, beta, omega_max, PI, h, 0.0, OK_LOWPOWER, False, 1, warm

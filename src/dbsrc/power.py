@@ -150,8 +150,10 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     omega = omega_max and bisects H to the fixed-frequency target at its
     rightmost crossing, which lies on the monotone branch of the dimming
     curve (past s_add0, skipping the non-monotonic region in one
-    discontinuous step).  W* = 0 maps to a fully shorted secondary
-    (s = pi) rather than an error.
+    discontinuous step).  W* = 0 is not an error: the inverse runs at
+    s_add = pi and omega_max.  That gives s = pi, a shorted secondary,
+    while q <= pi; a sigma correction that pushes q past pi splits it as
+    (boost d, s = q - pi), a point that still transfers power.
 
     warm starts the low-power search from an earlier solve: pass sol.warm
     to the next solve.  It then finds the scan's s_add with 7.6 to 10.4

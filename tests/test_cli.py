@@ -1,6 +1,7 @@
 """Command-line interface tests: CSV contracts, config handling, exit
 codes."""
 
+import io
 import math
 import subprocess
 import sys
@@ -8,12 +9,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dbsrc import (ControlReferences, ScenarioConfig, run_scenario,
                    s_add_zero_boundary)
-from dbsrc.charger import TRACE_COLUMNS
-from dbsrc.cli import (CHARGE_DEFAULTS, EXIT_ABORT, EXIT_CONFIG, EXIT_OK,
-                       main)
+from dbsrc.charger import TRACE_COLUMNS, ScenarioAbort
+from dbsrc.cli import (CHARGE_DEFAULTS, CSV_BLOCK, EXIT_ABORT, EXIT_CONFIG,
+                       EXIT_OK, main, write_csv)
 
 
 def run_cmd(tmp_path, *args):
@@ -158,9 +161,11 @@ class TestLowpower:
         assert len({r[0] for r in rows}) == 2
 
 
+CHARGE_BASE = dict(duration=2.0, initial_charge_ah=3.0)
+
+
 def charge_args(**overrides):
-    values = dict(duration=2.0, initial_charge_ah=3.0)
-    values.update(overrides)
+    values = {**CHARGE_BASE, **overrides}
     args = ["charge"]
     for key, val in values.items():
         args += ["--set", f"{key}={val}"]
@@ -223,15 +228,39 @@ class TestCharge:
         assert settled_err(without) <= settled_err(with_unc)
         assert settled_err(without) < 0.01  # ideal plant: near-exact
 
-    def test_abort_writes_partial_trace_exit_3(self, tmp_path):
+    @staticmethod
+    def assert_partial_trace(tmp_path, **overrides):
+        """dbsrc charge with these settings exits 3, and its CSV is the
+        partial trace of the ScenarioAbort that run_scenario raises for
+        the same config, bit for bit; returns that abort."""
         out = tmp_path / "out.csv"
-        code = main(charge_args(sigma_ref=0.0, initial_charge_ah=15.0,
-                                sigma_kp=0, sigma_ki=0, delta_kp=0,
-                                delta_ki=0, w_kp=0, w_ki=0)
-                    + ["--out", str(out)])
+        code = main(charge_args(**overrides) + ["--out", str(out)])
         assert code == EXIT_ABORT
-        header, _rows = rows_of(out.read_text())
-        assert header[0] == "t"
+        header, rows = rows_of(out.read_text())
+        assert header == list(TRACE_COLUMNS)
+        values = {**CHARGE_BASE, **overrides}
+        with pytest.raises(ScenarioAbort) as info:
+            run_scenario(ScenarioConfig(
+                **{key: float(v) for key, v in values.items()}))
+        abort = info.value
+        assert len(rows) == abort.step
+        assert (np.array(rows, dtype=float).reshape(-1, len(TRACE_COLUMNS))
+                .tobytes() == abort.trace.column_stack().tobytes())
+        return abort
+
+    def test_abort_writes_partial_trace_exit_3(self, tmp_path):
+        # collapsed tank current with every correction loop off: the
+        # first step aborts, so the CSV is the header alone
+        abort = self.assert_partial_trace(
+            tmp_path, sigma_ref=0.0, initial_charge_ah=15.0, sigma_kp=0,
+            sigma_ki=0, delta_kp=0, delta_ki=0, w_kp=0, w_ki=0)
+        assert abort.step == 0
+
+    def test_abort_mid_run_writes_the_steps_before_it(self, tmp_path):
+        # the plant's halved inductance leaves the controller's
+        # frequency below the plant's resonance once the current rises
+        abort = self.assert_partial_trace(tmp_path, l_scale=0.5)
+        assert 0 < abort.step < 20000
 
 
 class TestConfigHandling:
@@ -282,6 +311,16 @@ class TestConfigHandling:
         code, _ = run_cmd(tmp_path, "map", "--config", "/no/such/file.cfg")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("args", [["map"], charge_args(duration=0.01)],
+                             ids=["map", "charge"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot write {out}: No such file or directory\n")
+        assert captured.out == ""
+
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "out.csv"
         proc = subprocess.run(
@@ -321,3 +360,66 @@ class TestDerivedValues:
             column = {float(r[3]) for r in rows if float(r[0]) == gain}
             assert column == {
                 s_add_zero_boundary(ControlReferences(0.1, 0.0), gain)}
+
+
+def savetxt_bytes(rows, header):
+    """The test oracle: np.savetxt's bytes for the same call."""
+    buf = io.StringIO()
+    np.savetxt(buf, rows, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    return buf.getvalue().encode()
+
+
+# bit patterns the writer must keep apart or format exactly
+SPECIAL_VALUES = [0.0, -0.0, math.nan, -math.nan,
+                  np.array(0x7FF0_0000_0000_0ABC).view(np.float64).item(),
+                  math.inf, -math.inf, 5e-324, -2.2250738585072009e-308,
+                  1.0, 1e16, 0.1]
+
+
+class TestWriteCsv:
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           palette=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                      allow_subnormal=True),
+                            min_size=1, max_size=6),
+           form=st.sampled_from(["array", "strided", "tuples"]))
+    @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK,
+                                        CSV_BLOCK + 1, 3 * CSV_BLOCK + 7])
+    def test_bytes_equal_savetxt_property(self, tmp_path, n_rows, n_cols,
+                                          seed, palette, form):
+        rng = np.random.default_rng(seed)
+        pool = np.array(palette + SPECIAL_VALUES)
+        # runs of repeats from the pool, and random bit patterns (NaN
+        # payloads and subnormals among them) between the runs
+        runs = rng.integers(1, 50, size=4 * n_rows * n_cols + 1)
+        picks = np.repeat(rng.integers(0, len(pool), size=runs.size), runs)
+        table = pool[picks[:4 * n_rows * n_cols]].reshape(2 * n_rows,
+                                                          2 * n_cols)
+        noise = rng.random(table.shape) < 0.3
+        table[noise] = rng.integers(-2**63, 2**63 - 1, size=noise.sum(),
+                                    dtype=np.int64).view(np.float64)
+        if form == "array":
+            rows = table[:n_rows, :n_cols]
+        elif form == "strided":
+            rows = table[::2, ::2]
+        else:
+            # as map and trajectory pass them: floats, then an int flag
+            rows = [tuple(row[:-1]) + (int(row[-1] > 0),)
+                    for row in table[:n_rows, :n_cols].tolist()]
+        header = [f"c{j}" for j in range(n_cols)]
+        out = tmp_path / "out.csv"
+        write_csv(str(out), header, rows)
+        assert out.read_bytes() == savetxt_bytes(rows, header)
+
+    @pytest.mark.parametrize("args", [
+        ["map", "--set", "sigma_steps=3", "--set", "delta_steps=4"],
+        charge_args(duration=0.01)], ids=["map", "charge"])
+    def test_stdout_gets_the_file_bytes(self, tmp_path, capsys, args):
+        out = tmp_path / "out.csv"
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        for to_stdout in ([], ["--out", "-"]):
+            capsys.readouterr()
+            assert main(args + to_stdout) == EXIT_OK
+            assert capsys.readouterr().out.encode() == out.read_bytes()
