@@ -16,7 +16,7 @@ and the whole run is deterministic for a given config and seed.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,15 +86,23 @@ class ScenarioConfig:
     volt_ki: float = 40.0
 
     def __post_init__(self):
-        # written as "not x > 0" so that NaN fails every check
+        # an infinite or NaN number would overflow the step count, give
+        # no steps or fail mid-run without the partial trace; an integer
+        # is finite (and may be too large for math.isfinite)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (f.name == "tank" or isinstance(value, numbers.Integral)
+                    or math.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite")
         if not (self.v_in > 0 and self.i_cc > 0 and self.v_cv > 0):
             raise ValueError("v_in, i_cc, v_cv must be positive")
         if not (self.dt > 0 and self.duration > 0 and self.time_scale > 0):
             raise ValueError("dt, duration, time_scale must be positive")
         if not self.capacity_ah > 0:
             raise ValueError("capacity must be positive")
-        if not self.v_full >= self.v_empty:
-            raise ValueError("v_full must be >= v_empty")
+        # v_empty >= 0 keeps G = n V_bat / V_in >= 0 throughout the run
+        if not self.v_full >= self.v_empty >= 0:
+            raise ValueError("need 0 <= v_empty <= v_full")
         if not self.i_ref_slew > 0:
             raise ValueError("i_ref_slew must be positive")
         if not self.sensor_tau >= 0:
@@ -106,18 +114,12 @@ class ScenarioConfig:
         # numbers.Integral, so that numpy integers pass too
         if not isinstance(self.seed, numbers.Integral):
             raise ValueError("seed must be an integer")
-        gains = (self.sigma_kp, self.sigma_ki, self.delta_kp, self.delta_ki,
-                 self.w_kp, self.w_ki, self.volt_kp, self.volt_ki)
-        if not all(map(math.isfinite, (
-                self.initial_charge_ah, self.beta_offset, self.l_scale,
-                *gains))):
-            raise ValueError("initial_charge_ah, beta_offset, l_scale and "
-                             "the gains must be finite")
         if not self.l_scale > 0:
             raise ValueError("l_scale must be positive")
         # each loop's error is ref - meas on a channel that rises with
         # its actuator, so a negative gain is positive feedback
-        if min(gains) < 0:
+        if min(self.sigma_kp, self.sigma_ki, self.delta_kp, self.delta_ki,
+               self.w_kp, self.w_ki, self.volt_kp, self.volt_ki) < 0:
             raise ValueError("the PI gains must be non-negative")
         # sigma* and delta* are checked by the record that defines them
         ControlReferences(self.sigma_ref, self.delta_ref)
@@ -134,6 +136,8 @@ def plant_step(p: SwitchingParams, cfg: ScenarioConfig,
     d, s, beta, omega = p
     if omega is None:
         raise ValueError("SwitchingParams.omega must be set")
+    if not gain >= 0:
+        raise ValueError("gain must be non-negative")
     tank = cfg.tank
     ind = tank.inductance * cfg.l_scale
     z = k.tank_impedance(omega, ind, tank.capacitance)

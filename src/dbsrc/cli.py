@@ -6,14 +6,18 @@ fixed-frequency dimming curves (lowpower) and the closed-loop battery
 charge scenario (charge).
 
 Configuration is a flat key = value text file (# comments allowed);
---set key=value overrides file values.  Exit codes: 0 success, 2 config
-error or unwritable output, 3 runtime abort (partial trace still
-written).
+--set key=value overrides file values.  Each command maps its typed
+settings to (header, rows, exit code); main alone reads and types the
+settings, checks that the output's directory exists, runs the command
+and writes the CSV.  Exit codes: 0 success, 2 config error (a
+ConfigError, or a library ValueError or InfeasibleReferenceError) or
+unwritable output, 3 runtime abort (partial trace still written).
 """
 
 import argparse
 import contextlib
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import Dict, Sequence
@@ -64,31 +68,25 @@ def write_csv(path: str | None, header: Sequence[str],
             fh.write("\n".join(map(",".join, cells)) + "\n")
 
 
-def parse_config_file(path: str) -> Dict[str, str]:
-    values: Dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return values
-
-
 def _collect(args) -> Dict[str, str]:
-    values: Dict[str, str] = {}
+    """The config file's key = value lines (comments stripped, blank
+    lines skipped), then the --set items; a later key overrides."""
+    items = []
     if args.config:
-        values.update(parse_config_file(args.config))
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
+        try:
+            with open(args.config) as fh:
+                items = [(f"{args.config}:{lineno}", line)
+                         for lineno, raw in enumerate(fh, 1)
+                         if (line := raw.split("#", 1)[0].strip())]
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read config {args.config}: {exc}") from exc
+    items += [("--set", item) for item in args.set or []]
+    values: Dict[str, str] = {}
+    for where, item in items:
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ConfigError(f"{where}: expected key=value, got {item!r}")
         values[key.strip()] = value.strip()
     return values
 
@@ -128,8 +126,7 @@ MAP_DEFAULTS: Dict[str, object] = {
 }
 
 
-def cmd_map(values: Dict[str, str], out: str | None) -> int:
-    cfg = _typed(values, MAP_DEFAULTS)
+def cmd_map(cfg: Dict[str, object]):
     gain, s_add = cfg["gain"], cfg["s_add"]
     if gain < 0:
         raise ConfigError("gain must be non-negative")
@@ -143,18 +140,14 @@ def cmd_map(values: Dict[str, str], out: str | None) -> int:
     rows = []
     for sigma_ref in sigmas:
         for delta_ref in deltas:
-            try:
-                ControlReferences(sigma_ref, delta_ref, s_add)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            ControlReferences(sigma_ref, delta_ref, s_add)
             d, s, beta, _smin, _boost, ok = k.invert_exact(
                 sigma_ref, delta_ref, s_add, gain)
             if not ok:
                 d = s = math.nan
             rows.append((sigma_ref, delta_ref, d, s, beta, int(ok)))
-    write_csv(out, ("sigma_ref", "delta_ref", "d", "s", "beta", "feasible"),
-              rows)
-    return EXIT_OK
+    header = ("sigma_ref", "delta_ref", "d", "s", "beta", "feasible")
+    return header, rows, EXIT_OK
 
 
 TRAJECTORY_DEFAULTS: Dict[str, object] = {
@@ -166,8 +159,7 @@ TRAJECTORY_DEFAULTS: Dict[str, object] = {
 }
 
 
-def cmd_trajectory(values: Dict[str, str], out: str | None) -> int:
-    cfg = _typed(values, TRAJECTORY_DEFAULTS)
+def cmd_trajectory(cfg: Dict[str, object]):
     duration, dt = cfg["duration"], cfg["dt"]
     if duration <= 0 or dt <= 0:
         raise ConfigError("duration and dt must be positive")
@@ -204,9 +196,8 @@ def cmd_trajectory(values: Dict[str, str], out: str | None) -> int:
         rows.append((t, gain, sigma_ref, delta_ref, s_add, sigma, delta,
                      d if ok else math.nan, s if ok else math.nan,
                      beta if ok else math.nan, int(ok)))
-    write_csv(out, ("t", "G", "sigma_ref", "delta_ref", "s_add", "sigma",
-                    "delta", "d", "s", "beta", "feasible"), rows)
-    return EXIT_OK
+    return ("t", "G", "sigma_ref", "delta_ref", "s_add", "sigma", "delta",
+            "d", "s", "beta", "feasible"), rows, EXIT_OK
 
 
 LOWPOWER_DEFAULTS: Dict[str, object] = {
@@ -216,19 +207,15 @@ LOWPOWER_DEFAULTS: Dict[str, object] = {
 }
 
 
-def cmd_lowpower(values: Dict[str, str], out: str | None) -> int:
-    cfg = _typed(values, LOWPOWER_DEFAULTS)
+def cmd_lowpower(cfg: Dict[str, object]):
     gains, step = cfg["gains"], cfg["s_add_step"]
     if not gains:
         raise ConfigError("gains must be a non-empty list")
     if step <= 0:
         raise ConfigError("s_add_step must be positive")
     sigma_ref, delta_ref = cfg["sigma_ref"], cfg["delta_ref"]
-    try:
-        refs = ControlReferences(sigma_ref=sigma_ref, delta_ref=delta_ref)
-        h0s = [gain_term_h(refs, gain) for gain in gains]
-    except (ValueError, InfeasibleReferenceError) as exc:
-        raise ConfigError(str(exc)) from exc
+    refs = ControlReferences(sigma_ref=sigma_ref, delta_ref=delta_ref)
+    h0s = [gain_term_h(refs, gain) for gain in gains]
 
     n = int(math.ceil(math.pi / step))
     rows = []
@@ -241,8 +228,7 @@ def cmd_lowpower(values: Dict[str, str], out: str | None) -> int:
             _d, _s, _b, h, ok, _boost = k.regulated_point(
                 sigma_ref, delta_ref, s_add, gain, 0.0, 0.0)
             rows.append((gain, s_add, h / h0 if ok else math.nan, s_add0))
-    write_csv(out, ("G", "s_add", "W_over_W0", "s_add_0"), rows)
-    return EXIT_OK
+    return ("G", "s_add", "W_over_W0", "s_add_0"), rows, EXIT_OK
 
 
 _TANK = default_tank()
@@ -255,34 +241,34 @@ CHARGE_DEFAULTS: Dict[str, object] = {
 }
 
 
-def cmd_charge(values: Dict[str, str], out: str | None) -> int:
-    cfg = _typed(values, CHARGE_DEFAULTS)
+def cmd_charge(cfg: Dict[str, object]):
     decimate = cfg.pop("decimate")
     if decimate < 1:
         raise ConfigError("decimate must be >= 1")
-    try:
-        tank = TankConfig(inductance=cfg.pop("L"), capacitance=cfg.pop("C"),
-                          turns_ratio=cfg.pop("n"),
-                          omega_max=2 * math.pi * cfg.pop("f_max"))
-        scenario = ScenarioConfig(tank=tank, **cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    tank = TankConfig(inductance=cfg.pop("L"), capacitance=cfg.pop("C"),
+                      turns_ratio=cfg.pop("n"),
+                      omega_max=2 * math.pi * cfg.pop("f_max"))
+    scenario = ScenarioConfig(tank=tank, **cfg)
 
     try:
         trace, code = run_scenario(scenario), EXIT_OK
     except ScenarioAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         trace, code = exc.trace, EXIT_ABORT
-    write_csv(out, TRACE_COLUMNS, trace.column_stack()[::decimate])
-    return code
+    return TRACE_COLUMNS, trace.column_stack()[::decimate], code
 
 
-# name -> (command, help): the one table of subcommands
+# name -> (command, defaults, help): the one table of subcommands; a
+# command maps its typed settings to (header, rows, exit code)
 COMMANDS = {
-    "map": (cmd_map, "feedforward (d, s) grid over reference angles"),
-    "trajectory": (cmd_trajectory, "open-loop reference sweep"),
-    "lowpower": (cmd_lowpower, "fixed-frequency dimming curves W/W0(s_add)"),
-    "charge": (cmd_charge, "closed-loop CC/CV charger scenario"),
+    "map": (cmd_map, MAP_DEFAULTS,
+            "feedforward (d, s) grid over reference angles"),
+    "trajectory": (cmd_trajectory, TRAJECTORY_DEFAULTS,
+                   "open-loop reference sweep"),
+    "lowpower": (cmd_lowpower, LOWPOWER_DEFAULTS,
+                 "fixed-frequency dimming curves W/W0(s_add)"),
+    "charge": (cmd_charge, CHARGE_DEFAULTS,
+               "closed-loop CC/CV charger scenario"),
 }
 
 
@@ -293,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "feedforward maps, trajectory sweeps, dimming curves "
                     "and the charger scenario, as CSV.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_command, help_text) in COMMANDS.items():
+    for name, (_command, _defaults, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output CSV path (default stdout)")
@@ -304,10 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, defaults, _help = COMMANDS[args.command]
     try:
-        values = _collect(args)
-        return COMMANDS[args.command][0](values, args.out)
-    except ConfigError as exc:
+        settings = _typed(_collect(args), defaults)
+        if args.out not in (None, "-"):
+            # a missing directory fails now, not after the run
+            os.stat(os.path.dirname(args.out) or ".")
+        header, rows, code = command(settings)
+        write_csv(args.out, header, rows)
+        return code
+    except (ConfigError, ValueError, InfeasibleReferenceError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # from the output: config reads raise ConfigError

@@ -103,12 +103,13 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
     Returns (beta, s, omega).
 
     Raises:
-        ZeroPowerReferenceError: for finite W* <= 0.
-        ValueError: for W* NaN or infinite, G <= 0 or G* outside (0, 1].
+        ValueError: for W* negative, infinite or NaN, G <= 0 or G*
+            outside (0, 1].
+        ZeroPowerReferenceError: for W* = 0.
     """
-    if not -math.inf < w_ref < math.inf:
-        raise ValueError(f"W* must be finite and positive, not {w_ref}")
-    if w_ref <= 0:
+    if not 0.0 <= w_ref < math.inf:
+        raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
+    if w_ref == 0:
         raise ZeroPowerReferenceError("W* must be positive")
     beta, s = fully_driven_maps(gain, g_star)
     amp, _sigma, delta, _degenerate = k.forward_point(math.pi, s, beta, gain)
@@ -161,13 +162,15 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     Without warm (the default) every low-power solve is the full scan.
 
     Raises:
-        ValueError: for W* negative, infinite or NaN.
+        ValueError: for W* negative, infinite or NaN, or G < 0 or NaN.
         InfeasibleReferenceError: references not invertible at this gain.
         UnreachablePowerError: no s_add in [0, pi] meets the request at
             omega <= omega_max (e.g. collapsed tank current).
     """
     if not 0.0 <= w_ref < math.inf:
         raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
+    if not gain >= 0:
+        raise ValueError("gain must be non-negative")
     sigma_reg, delta_reg = corrections
     d, s, beta, omega, s_used, _h, _w, status, _fallback, _evals, \
         warm = k.solve_controls_scan(

@@ -20,7 +20,7 @@ REMOVED = {
     charger.Trace: ("beta_offset",),
     power.PowerSolution: ("achieved_w",),
     cli: ("Schema", "_from_config", "_CHARGE_CLASSES", "_LIBRARY_ONLY",
-          "_linspace"),
+          "_linspace", "parse_config_file"),
 }
 
 

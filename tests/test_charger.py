@@ -174,6 +174,27 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="finite|positive"):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("duration", math.inf), ("dt", math.inf), ("v_in", math.inf),
+        ("time_scale", math.inf), ("v_full", math.inf),
+        ("v_empty", -math.inf), ("noise_std_w", math.inf),
+        ("v_empty", -100.0)])
+    def test_every_number_checked(self, name, value):
+        # each went wrong in the run: an overflow, no steps, a bare
+        # ValueError without the partial trace, or a negative G
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: value})
+
+    def test_integer_beyond_float_range_accepted(self):
+        # an integer is finite, though too large for math.isfinite
+        ScenarioConfig(seed=10**400, noise_std_w=1e-5)
+
+    def test_empty_pack_may_start_at_zero_gain(self):
+        # G = 0 at the first step: the buck inverse holds there
+        trace = run_scenario(short_config(v_empty=0.0, initial_charge_ah=0.0,
+                                          duration=0.01))
+        assert trace["G"][0] == 0.0
+
     @pytest.mark.parametrize("name", ["sigma_ref", "delta_ref"])
     def test_references_checked_on_construction(self, name):
         # the check of ControlReferences, before any run

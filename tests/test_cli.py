@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dbsrc.cli
 from dbsrc import (ControlReferences, ScenarioConfig, run_scenario,
                    s_add_zero_boundary)
 from dbsrc.charger import TRACE_COLUMNS, ScenarioAbort
@@ -292,6 +293,37 @@ class TestConfigHandling:
         code, text = run_cmd(tmp_path, *args)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("case", [
+        "map gain=-1", "map sigma_steps=0",
+        "trajectory dt=0", "trajectory gain_start=-1",
+        "lowpower gains=", "lowpower s_add_step=0",
+        # feasible references, but A sits inside the A_MIN tolerance at
+        # G = 0.6, so H(0) = -4.8e-12
+        "lowpower sigma_ref=0 delta_ref=-0.9272952180026123 gains=0.6",
+        "charge decimate=0",
+    ], ids=lambda case: case.replace(" ", "-"))
+    def test_cli_check_rejected(self, tmp_path, case):
+        # the checks that no library call covers
+        command, *settings = case.split()
+        args = [command]
+        for setting in settings:
+            args += ["--set", setting]
+        code, text = run_cmd(tmp_path, *args)
+        assert code == EXIT_CONFIG
+        assert text == ""
+
+    @pytest.mark.parametrize("source", ["config", "set"])
+    def test_setting_without_equals_rejected(self, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gain = 0.5\nsigma_steps 3\n")
+        args = (["--config", str(cfg)] if source == "config"
+                else ["--set", "nokey"])
+        code, text = run_cmd(tmp_path, "map", *args)
+        assert code == EXIT_CONFIG
+        assert text == ""
+        where = f"{cfg}:2" if source == "config" else "'nokey'"
+        assert where in capsys.readouterr().err
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment line\ngain = 0.5\ns_add = 0.0  # inline\n"
@@ -320,6 +352,16 @@ class TestConfigHandling:
         assert captured.err == (
             f"error: cannot write {out}: No such file or directory\n")
         assert captured.out == ""
+
+    def test_missing_out_directory_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch):
+        def no_run(scenario):
+            raise AssertionError("run_scenario was called")
+        monkeypatch.setattr(dbsrc.cli, "run_scenario", no_run)
+        out = tmp_path / "no" / "x.csv"
+        assert main(charge_args() + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n")
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "out.csv"

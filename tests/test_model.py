@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dbsrc import (BelowResonanceError, DegenerateTankCurrentError,
+from dbsrc import (BelowResonanceError, ControlReferences,
+                   DegenerateTankCurrentError, ScenarioConfig,
                    SwitchingParams, TankConfig, alignment_angles,
-                   sync_rect_residual, tank_current_amplitude,
-                   tank_impedance, transconductance)
+                   plant_step, solve_controls, sync_rect_residual,
+                   tank_current_amplitude, tank_impedance, transconductance)
 from dbsrc import _kernels as k
 
 TANK = TankConfig(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
@@ -287,8 +288,14 @@ class TestSyncRectResidual:
     lambda p, gain: transconductance(p, gain, TANK),
     sync_rect_residual,
     lambda p, gain: tank_current_amplitude(p, gain, 600.0, TANK),
+    lambda p, gain: plant_step(p, ScenarioConfig(), gain),
+    lambda p, gain: solve_controls(ControlReferences(0.1, 0.0), gain, 0.01,
+                                   TANK),
+    lambda p, gain: solve_controls(ControlReferences(0.1, 0.0), gain, 0.0,
+                                   TANK),
 ], ids=["alignment_angles", "transconductance", "sync_rect_residual",
-        "tank_current_amplitude"])
+        "tank_current_amplitude", "plant_step", "solve_controls",
+        "solve_controls-zero-power"])
 def test_bad_gain_rejected(forward_map, gain):
     # a NaN or negative G would otherwise come back as a NaN or a number
     p = params(math.pi / 2, 0.0, 0.0, omega=2 * math.pi * 120e3)

@@ -145,9 +145,9 @@ class TestFullyDrivenFrequency:
 
     def test_nan_reference_rejected(self):
         # NaN names W*, as required_impedance does, and is not taken for
-        # zero power; neither is -inf, and inf gives no Z = 0 (the
-        # resonant frequency)
-        for w_ref in (math.nan, math.inf, -math.inf):
+        # zero power; neither is a negative W* or -inf, and inf gives no
+        # Z = 0 (the resonant frequency)
+        for w_ref in (math.nan, math.inf, -math.inf, -0.05):
             with pytest.raises(ValueError, match="W\\*"):
                 fully_driven_frequency(0.5, 0.95, w_ref, TANK)
 
