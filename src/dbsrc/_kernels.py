@@ -151,8 +151,10 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     One Python frame, because H runs for every point of the low-power
     scan, where each call shows: cos sigma*, cos delta* and
     cos(delta* + s_add) are taken once, the last serving as
-    cos(s + delta*) when s is s_add.  On perfbench's charge-trickle
-    workload (pure Python, Python 3.11, two shared vCPUs) the median
+    cos(s + delta*) when s is s_add.  At s_add = 0, which every
+    analytic solve passes, cos delta* is reused as cos(delta* + s_add),
+    one cosine less per solve.  On perfbench's charge-trickle workload
+    (pure Python, Python 3.11, two shared vCPUs) the median
     time_s of ten alternating pairs went from 0.422 s, with the q map,
     the acos clamp and the split as three functions, to 0.357 s
     (BENCH_13.json).  tests/test_inversion.py pins this frame to that
@@ -161,7 +163,8 @@ def regulated_point(sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
     Returns (d, s, beta, h, feasible, is_boost).
     """
     cs, cd = cos(sigma_ref), cos(delta_ref)
-    cds = cos(delta_ref + s_add)
+    # cos(delta* + 0.0) is cos(delta*) bit for bit, -0.0 included
+    cds = cd if s_add == 0.0 else cos(delta_ref + s_add)
     is_boost = 2.0 * cs < gain * (cds + cd)
     x = cd - 2.0 * cs / gain if is_boost else cs - gain * cd - gain * cds
     feasible = True

@@ -267,9 +267,11 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     noise, j = [], 0    # the current block of draws, the index of the next
 
     data = {c: np.empty(n_steps) for c in STORED_COLUMNS}
-    # one local reference per STORED_COLUMNS entry, in its order
+    # one memoryview per STORED_COLUMNS entry, in its order: a float
+    # stored through a memoryview of a float64 array is the same double,
+    # in about half the time of an ndarray item store
     col_i_ref, col_v_bat, col_d, col_s, col_beta, col_omega, col_sigma, \
-        col_s_add, col_w = data.values()
+        col_s_add, col_w = map(memoryview, data.values())
     trace = Trace(data=data, steps=0, cfg=cfg)
     warm = None     # low-power solver state: sol.warm of the last step
 

@@ -8,14 +8,16 @@ charge scenario (charge).
 Configuration is a flat key = value text file (# comments allowed);
 --set key=value overrides file values.  Each command maps its typed
 settings to (header, rows, exit code); main alone reads and types the
-settings, checks that the output's directory exists, runs the command
-and writes the CSV.  Exit codes: 0 success, 2 config error (a
-ConfigError, or a library ValueError or InfeasibleReferenceError) or
-unwritable output, 3 runtime abort (partial trace still written).
+settings, checks that the output's directory exists and that the file
+(or, for a new one, its directory) is writable, runs the command and
+writes the CSV.  Exit codes: 0 success, 2 config error (a ConfigError,
+or a library ValueError or InfeasibleReferenceError) or unwritable
+output, 3 runtime abort (partial trace still written).
 """
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import sys
@@ -109,12 +111,16 @@ def _typed(values: Dict[str, str],
 
 
 def _parse(key: str, raw: str, kind: type):
-    """raw as a finite int or float; NaN and infinities are rejected."""
+    """raw as a finite int or float; NaN, infinities and integers beyond
+    the float range are rejected."""
     try:
         value = kind(raw)
+        finite = math.isfinite(value)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
-    if not math.isfinite(value):
+    except OverflowError as exc:  # isfinite of an integer past the range
+        raise ConfigError(f"{key}: {raw!r} is out of range") from exc
+    if not finite:
         raise ConfigError(f"{key}: {raw!r} is not finite")
     return value
 
@@ -294,8 +300,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         settings = _typed(_collect(args), defaults)
         if args.out not in (None, "-"):
-            # a missing directory fails now, not after the run
-            os.stat(os.path.dirname(args.out) or ".")
+            # a directory that is missing or a file, or an output that
+            # open(path, "w") could not write, fails now, not after the run
+            out_dir = os.path.dirname(args.out) or "."
+            os.stat(os.path.join(out_dir, ""))  # the trailing / needs a dir
+            if not (os.access(args.out, os.W_OK) if os.path.exists(args.out)
+                    else os.access(out_dir, os.W_OK | os.X_OK)):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
         header, rows, code = command(settings)
         write_csv(args.out, header, rows)
         return code

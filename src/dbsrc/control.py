@@ -26,6 +26,7 @@ class PiController:
     ki * e * dt but is frozen whenever the unclamped output is saturated
     and the increment would drive it further into saturation.
     """
+    __slots__ = ("kp", "ki", "dt", "output_min", "output_max", "integrator")
 
     def __init__(self, kp: float, ki: float, dt: float,
                  output_min: float = -math.inf,
@@ -44,13 +45,13 @@ class PiController:
         prop = self.kp * error
         incr = self.ki * error * self.dt
         candidate = self.integrator + incr
-        u_raw = prop + candidate
-        if (u_raw > hi and incr > 0) or (u_raw < lo and incr < 0):
+        u = prop + candidate
+        if (u > hi and incr > 0) or (u < lo and incr < 0):
             candidate = self.integrator  # anti-windup: freeze
+            u = prop + candidate
         self.integrator = candidate
         # min(max(u, lo), hi) as two tests in that order, so NaN, -0.0 and
         # lo > hi come out the same; the other step-path clamps copy it
-        u = prop + candidate
         if u < lo:
             u = lo
         if u > hi:

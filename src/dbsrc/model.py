@@ -59,6 +59,9 @@ class _SwitchingFields(NamedTuple):
 _ANGLE_MIN = -k.RANGE_TOL
 _ANGLE_MAX = math.pi + k.RANGE_TOL
 _BETA_MIN = -math.pi - k.RANGE_TOL
+# bound once, so that building a record per control step skips the
+# attribute lookup on tuple
+_tuple_new = tuple.__new__
 
 
 def _checked_params(cls, d: float, s: float, beta: float,
@@ -75,7 +78,7 @@ def _checked_params(cls, d: float, s: float, beta: float,
         raise ValueError(f"beta out of [-pi, pi]: {beta}")
     if omega is not None and not omega > 0:
         raise ValueError("omega must be positive")
-    return tuple.__new__(cls, (d, s, beta, omega))
+    return _tuple_new(cls, (d, s, beta, omega))
 
 
 class SwitchingParams(_SwitchingFields):

@@ -23,7 +23,8 @@ from . import _kernels as k
 from .errors import (InfeasibleReferenceError, UnreachablePowerError,
                      ZeroPowerReferenceError)
 from .inversion import ControlReferences, fully_driven_maps
-from .model import SwitchingParams, TankConfig, _checked_params
+from .model import (SwitchingParams, TankConfig, _checked_params,
+                    _tuple_new)
 
 
 class PowerSolution(NamedTuple):
@@ -185,6 +186,6 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
             f"W*={w_ref} unreachable at omega_max with references "
             f"(sigma*={refs.sigma_ref}, delta*={refs.delta_ref})")
     # no class calls, once per control step; the range checks still run
-    return tuple.__new__(PowerSolution, (
+    return _tuple_new(PowerSolution, (
         _checked_params(SwitchingParams, d, s, beta, omega), s_used,
         status == k.OK_LOWPOWER, warm))

@@ -349,3 +349,27 @@ class TestRunScenario:
         abort = exc_info.value
         assert abort.trace.steps == abort.step
         assert "unreachable" in str(abort)
+
+    @pytest.mark.parametrize("aborts", [False, True],
+                             ids=["full", "aborted"])
+    def test_trace_data_are_float64_arrays(self, aborts):
+        # the loop stores through memoryviews of the columns; the trace,
+        # whole or partial, still holds the arrays themselves
+        cfg = ScenarioConfig(duration=0.05)
+        if aborts:
+            cfg = replace(cfg, sigma_ref=0.0, initial_charge_ah=15.0,
+                          sigma_kp=0.0, sigma_ki=0.0, delta_kp=0.0,
+                          delta_ki=0.0, w_kp=0.0, w_ki=0.0)
+            with pytest.raises(ScenarioAbort) as exc_info:
+                run_scenario(cfg)
+            trace = exc_info.value.trace
+        else:
+            trace = run_scenario(cfg)
+        n_steps = int(round(cfg.duration / cfg.dt))
+        assert (trace.steps < n_steps) == aborts
+        assert list(trace.data) == list(dbsrc.charger.STORED_COLUMNS)
+        for column in trace.data.values():
+            assert type(column) is np.ndarray
+            assert column.dtype == np.float64
+            assert column.flags.c_contiguous
+            assert column.shape == (n_steps,)

@@ -3,6 +3,7 @@ codes."""
 
 import io
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -312,6 +313,18 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert text == ""
 
+    @pytest.mark.parametrize("case", ["map sigma_steps", "charge seed"],
+                             ids=lambda case: case.replace(" ", "-"))
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys,
+                                                 case):
+        # an int setting parses, but math.isfinite cannot take it
+        command, key = case.split()
+        code, text = run_cmd(tmp_path, command,
+                             "--set", f"{key}=1" + "0" * 400)
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
     @pytest.mark.parametrize("source", ["config", "set"])
     def test_setting_without_equals_rejected(self, tmp_path, capsys, source):
         cfg = tmp_path / "run.cfg"
@@ -362,6 +375,48 @@ class TestConfigHandling:
         assert main(charge_args() + ["--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"error: cannot write {out}: No such file or directory\n")
+
+    @pytest.mark.parametrize("args", [["map"], charge_args()],
+                             ids=["map", "charge"])
+    def test_file_as_out_directory_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, args):
+        def no_run(*_args):
+            raise AssertionError("the command was run")
+        monkeypatch.setattr(dbsrc.cli, "run_scenario", no_run)
+        monkeypatch.setattr(dbsrc.cli.k, "invert_exact", no_run)
+        parent = tmp_path / "file.txt"
+        parent.write_text("a file\n")
+        out = parent / "x.csv"
+        assert main(args + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: Not a directory\n")
+        assert parent.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("denied", [os.W_OK, os.X_OK],
+                             ids=["unwritable", "unsearchable"])
+    def test_closed_out_directory_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, denied):
+        # os.access is faked, so the check is seen whatever the user's uid
+        def no_run(scenario):
+            raise AssertionError("run_scenario was called")
+        monkeypatch.setattr(dbsrc.cli, "run_scenario", no_run)
+        monkeypatch.setattr(dbsrc.cli.os, "access", lambda path, mode: not (
+            os.path.isdir(path) and mode & denied))
+        out = tmp_path / "x.csv"
+        assert main(charge_args() + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: Permission denied\n")
+        assert not out.exists()
+
+    def test_writable_out_file_in_a_closed_directory_is_written(
+            self, capsys, monkeypatch):
+        # open(path, "w") on an existing file needs only the file's
+        # permission, so a closed directory (as /dev is to most users)
+        # does not stop it
+        monkeypatch.setattr(dbsrc.cli.os, "access",
+                            lambda path, mode: not os.path.isdir(path))
+        assert main(["map", "--out", os.devnull]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "out.csv"

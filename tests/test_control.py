@@ -30,6 +30,12 @@ class TestPiController:
         with pytest.raises(ValueError, match="dt"):
             PiController(kp=1.0, ki=1.0, dt=dt)
 
+    def test_misspelt_attribute_rejected(self):
+        # __slots__: a typo cannot add a state the step never reads
+        pi = PiController(kp=1.0, ki=1.0, dt=1.0)
+        with pytest.raises(AttributeError):
+            pi.intergrator = 1.0
+
     def test_pure_integral_accumulates(self):
         pi = PiController(kp=0.0, ki=1.0, dt=1.0)
         assert pi.step(1.0) == 1.0

@@ -351,6 +351,11 @@ class TestQMaps:
     @example(0.1, 0.0, 0.0, 1.3, 0.2, -0.1)
     @example(0.1, 0.0, math.pi, 0.8, 0.0, 0.0)
     @example(-0.3, 0.4, math.pi, 2.5, 0.5, -0.5)
+    # s_add = 0 reuses cos(delta*) as cos(delta* + s_add): -0.0 in either
+    @example(0.1, 0.2, -0.0, 0.8, 0.0, 0.0)
+    @example(0.1, 0.2, -0.0, 1.5, 0.1, 0.0)
+    @example(0.1, -0.0, 0.0, 0.8, 0.0, 0.0)
+    @example(0.1, -0.0, 0.0, 1.3, 0.0, -0.0)
     def test_regulated_point_equals_its_composition_property(
             self, sigma_ref, delta_ref, s_add, gain, sigma_reg, delta_reg):
         # regulated_point writes the q map, the split and A out in one
