@@ -202,23 +202,31 @@ class Trace:
     cfg: ScenarioConfig
 
     def __getitem__(self, name: str) -> np.ndarray:
+        return self.column(name, slice(None))
+
+    def column(self, name: str, rows: slice) -> np.ndarray:
+        """Column name at the steps range(self.steps)[rows]; each
+        derived column is defined here alone, for any such row range."""
         if name in self.data:
-            return self.data[name][: self.steps]
+            return self.data[name][: self.steps][rows]
         cfg = self.cfg
         if name == "t":
-            return np.arange(self.steps) * cfg.dt
+            return np.arange(*rows.indices(self.steps)) * cfg.dt
         if name == "G":
-            return cfg.tank.turns_ratio * self["V_bat"] / cfg.v_in
+            return cfg.tank.turns_ratio * self.column("V_bat", rows) / cfg.v_in
         if name == "I_out":
-            return self["W"] * cfg.v_in
+            return self.column("W", rows) * cfg.v_in
         if name == "delta":
-            return (self["beta"] + cfg.beta_offset) - self["sigma"]
+            return (self.column("beta", rows) + cfg.beta_offset) \
+                - self.column("sigma", rows)
         if name in ("sigma_ref", "delta_ref"):
-            return np.full(self.steps, getattr(cfg, name))
+            return np.full(len(range(self.steps)[rows]), getattr(cfg, name))
         raise KeyError(name)
 
-    def column_stack(self) -> np.ndarray:
-        return np.column_stack([self[c] for c in TRACE_COLUMNS])
+    def column_stack(self, rows: slice = slice(None)) -> np.ndarray:
+        """The TRACE_COLUMNS at the steps range(self.steps)[rows], one
+        row per step: column_stack()[rows] without the whole table."""
+        return np.column_stack([self.column(c, rows) for c in TRACE_COLUMNS])
 
 
 class ScenarioAbort(DbsrcError):

@@ -8,11 +8,12 @@ charge scenario (charge).
 Configuration is a flat key = value text file (# comments allowed);
 --set key=value overrides file values.  Each command maps its typed
 settings to (header, rows, exit code); main alone reads and types the
-settings, checks that the output's directory exists and that the file
-(or, for a new one, its directory) is writable, runs the command and
-writes the CSV.  Exit codes: 0 success, 2 config error (a ConfigError,
-or a library ValueError or InfeasibleReferenceError) or unwritable
-output, 3 runtime abort (partial trace still written).
+settings, checks that the output's directory exists, that the output is
+not a directory and that the file (or, for a new one, its directory) is
+writable, runs the command and writes the CSV.  Exit codes: 0 success,
+2 config error (a ConfigError, or a library ValueError or
+InfeasibleReferenceError) or unwritable output, 3 runtime abort (partial
+trace still written).
 """
 
 import argparse
@@ -27,7 +28,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from . import _kernels as k
-from .charger import (ScenarioAbort, ScenarioConfig, TRACE_COLUMNS,
+from .charger import (ScenarioAbort, ScenarioConfig, TRACE_COLUMNS, Trace,
                       default_tank, run_scenario)
 from .errors import InfeasibleReferenceError
 from .inversion import ControlReferences
@@ -51,17 +52,20 @@ def write_csv(path: str | None, header: Sequence[str],
     """Write rows as CSV under a header line, each value as %.17g;
     path None or "-" writes to standard output.
 
-    The bytes are np.savetxt(fmt="%.17g", delimiter=",", comments="")'s,
-    but each block of CSV_BLOCK rows formats each distinct value once.
+    rows is any sequence with len() and row slices (a list of tuples,
+    an ndarray, the rows of a charge trace); it is converted to float64
+    one block of CSV_BLOCK rows at a time, so no table of all rows is
+    built here.  The bytes are np.savetxt(fmt="%.17g", delimiter=",",
+    comments="")'s, but each block formats each distinct value once.
     %.17g depends only on a float's bits, and keying on the bits keeps
     -0.0 apart from 0.0 and NaN payloads apart.
     """
-    table = np.asarray(rows, dtype=np.float64)
     with (contextlib.nullcontext(sys.stdout) if path is None or path == "-"
           else open(path, "w")) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), CSV_BLOCK):
-            block = table[start:start + CSV_BLOCK]
+        for start in range(0, len(rows), CSV_BLOCK):
+            block = np.asarray(rows[start:start + CSV_BLOCK],
+                               dtype=np.float64)
             bits, inverse = np.unique(block.view(np.int64),
                                       return_inverse=True)
             distinct = np.array(["%.17g" % v for v in
@@ -247,6 +251,25 @@ CHARGE_DEFAULTS: Dict[str, object] = {
 }
 
 
+class TraceRows:
+    """trace.column_stack()[::decimate] as a sequence whose slices are
+    built from the trace on demand, so the whole table never exists."""
+
+    def __init__(self, trace: Trace, decimate: int):
+        self.trace, self.decimate = trace, decimate
+
+    def __len__(self) -> int:
+        return len(range(0, self.trace.steps, self.decimate))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        # with a positive step, indices() gives bounds in [0, len(self)]
+        start, stop, step = rows.indices(len(self))
+        if step < 0:
+            raise ValueError("TraceRows takes slices with a positive step")
+        d = self.decimate
+        return self.trace.column_stack(slice(start * d, stop * d, step * d))
+
+
 def cmd_charge(cfg: Dict[str, object]):
     decimate = cfg.pop("decimate")
     if decimate < 1:
@@ -261,7 +284,7 @@ def cmd_charge(cfg: Dict[str, object]):
     except ScenarioAbort as exc:
         print(f"error: {exc}", file=sys.stderr)
         trace, code = exc.trace, EXIT_ABORT
-    return TRACE_COLUMNS, trace.column_stack()[::decimate], code
+    return TRACE_COLUMNS, TraceRows(trace, decimate), code
 
 
 # name -> (command, defaults, help): the one table of subcommands; a
@@ -300,10 +323,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         settings = _typed(_collect(args), defaults)
         if args.out not in (None, "-"):
-            # a directory that is missing or a file, or an output that
-            # open(path, "w") could not write, fails now, not after the run
+            # a directory that is missing or a file, an output that is a
+            # directory, or one that open(path, "w") could not write, fails
+            # now, not after the run
             out_dir = os.path.dirname(args.out) or "."
             os.stat(os.path.join(out_dir, ""))  # the trailing / needs a dir
+            if os.path.isdir(args.out):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR))
             if not (os.access(args.out, os.W_OK) if os.path.exists(args.out)
                     else os.access(out_dir, os.W_OK | os.X_OK)):
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))

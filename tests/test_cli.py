@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 import dbsrc.cli
 from dbsrc import (ControlReferences, ScenarioConfig, run_scenario,
                    s_add_zero_boundary)
-from dbsrc.charger import TRACE_COLUMNS, ScenarioAbort
+from dbsrc.charger import STORED_COLUMNS, TRACE_COLUMNS, ScenarioAbort, Trace
 from dbsrc.cli import (CHARGE_DEFAULTS, CSV_BLOCK, EXIT_ABORT, EXIT_CONFIG,
-                       EXIT_OK, main, write_csv)
+                       EXIT_OK, TraceRows, main, write_csv)
 
 
 def run_cmd(tmp_path, *args):
@@ -174,6 +175,12 @@ def charge_args(**overrides):
     return args
 
 
+@pytest.fixture(scope="module")
+def base_table():
+    """The library's table for the charge command's CHARGE_BASE run."""
+    return run_scenario(ScenarioConfig(**CHARGE_BASE)).column_stack()
+
+
 class TestCharge:
     def test_header_and_determinism(self, tmp_path):
         code1, text1 = run_cmd(tmp_path, *charge_args())
@@ -186,11 +193,50 @@ class TestCharge:
         code2, text2 = run_cmd(tmp_path, *charge_args())
         assert text1 == text2
 
-    def test_decimation(self, tmp_path):
-        code, text = run_cmd(tmp_path, *charge_args(decimate=100))
+    @pytest.mark.parametrize("decimate, n_rows", [
+        (100, 200), (7, 2858), (20001, 1)],
+        ids=["divides", "does-not-divide", "beyond-the-steps"])
+    def test_decimation(self, tmp_path, base_table, decimate, n_rows):
+        # every field bit for bit against the library's table
+        code, text = run_cmd(tmp_path, *charge_args(decimate=decimate))
         assert code == EXIT_OK
         _header, rows = rows_of(text)
-        assert len(rows) == 200
+        assert len(rows) == n_rows
+        assert (np.array(rows, dtype=float).tobytes()
+                == base_table[::decimate].tobytes())
+
+    def test_csv_is_written_without_the_whole_table(self, tmp_path,
+                                                    monkeypatch):
+        # tracemalloc sees numpy's buffers.  The trace's columns exist
+        # before tracing starts; writing its CSV may hold a few blocks,
+        # never all rows.  Few distinct values keep each block's strings
+        # small, so the bound reads what grows with the steps.
+        steps = 64 * CSV_BLOCK
+        rng = np.random.default_rng(25)
+        trace = Trace(data={c: rng.integers(0, 4, steps) * 0.25
+                            for c in STORED_COLUMNS},
+                      steps=steps, cfg=ScenarioConfig())
+        monkeypatch.setattr(dbsrc.cli, "run_scenario", lambda cfg: trace)
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = main(charge_args() + ["--out", str(out)])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < len(TRACE_COLUMNS) * 8 * steps / 4
+        assert out.read_text().count("\n") == 1 + steps
+
+    def test_trace_rows_take_slices_with_a_positive_step(self):
+        trace = run_scenario(ScenarioConfig(duration=0.01))
+        rows = TraceRows(trace, 3)
+        table = trace.column_stack()[::3]
+        assert len(rows) == len(table) == 34
+        for part in (slice(None), slice(1, None, 2), slice(-5, 40)):
+            assert rows[part].tobytes() == table[part].tobytes()
+        with pytest.raises(ValueError):
+            rows[::-1]
 
     def test_float_format_round_trips(self, tmp_path):
         code, text = run_cmd(tmp_path, *charge_args(duration=0.01))
@@ -391,6 +437,18 @@ class TestConfigHandling:
         assert capsys.readouterr().err == (
             f"error: cannot write {out}: Not a directory\n")
         assert parent.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("args", [["map"], charge_args()],
+                             ids=["map", "charge"])
+    def test_directory_as_out_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch, args):
+        def no_run(*_args):
+            raise AssertionError("the command was run")
+        monkeypatch.setattr(dbsrc.cli, "run_scenario", no_run)
+        monkeypatch.setattr(dbsrc.cli.k, "invert_exact", no_run)
+        assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path}: Is a directory\n")
 
     @pytest.mark.parametrize("denied", [os.W_OK, os.X_OK],
                              ids=["unwritable", "unsearchable"])

@@ -82,3 +82,22 @@ def test_abort_trace_stacks_its_steps():
     stacked = partial.column_stack()
     assert stacked.shape == (partial.steps, len(TRACE_COLUMNS))
     assert partial.steps == exc_info.value.step
+    rows = slice(1, None, 3)
+    assert partial.column_stack(rows).shape == stacked[rows].shape
+    assert partial.column_stack(rows).tobytes() == stacked[rows].tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    slice(1, None, 3), slice(512, 1024), slice(None, None, -7),
+    slice(-5, None), slice(3990, 5000, 2), slice(7, 7), slice(9, 2, -4)],
+    ids=["step-3", "one-block", "reversed-step-7", "last-5",
+         "past-the-end-step-2", "empty", "reversed-step-4"])
+def test_row_range_is_those_rows_of_the_stack(trace, rows):
+    # the CLI writes the trace a block at a time through this read
+    assert trace.steps == 4000
+    block, expected = trace.column_stack(rows), trace.column_stack()[rows]
+    assert block.shape == expected.shape
+    assert block.tobytes() == expected.tobytes()
+    for name in TRACE_COLUMNS:
+        assert (trace.column(name, rows).tobytes()
+                == trace[name][rows].tobytes())
