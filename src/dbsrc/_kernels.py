@@ -1,10 +1,10 @@
 """Scalar hot kernels for the converter model and its inverse maps.
 
 Everything here is plain float math on Python floats, with no objects
-or arrays, to keep the per-call cost low in pure Python.  The
-closed-loop charger simulation calls these functions hundreds of
-thousands of times (once or more per control step, plus the short-time
-scans), which is where essentially all runtime goes.
+or arrays, to keep the per-call cost low in pure Python.  They are the
+per-call hot path: the closed-loop charger simulation calls them
+hundreds of thousands of times (once or more per control step, plus
+the short-time scans).
 
 The low-power solve (solve_controls_scan) dims at omega_max by finding
 the rightmost crossing of the dimming curve H(s_add) with its target.
@@ -12,16 +12,19 @@ Cold, it walks the SCAN_STEP grid down from pi and bisects the crossing
 cell: about 240 H evaluations.  Warm, it starts from the previous
 step's root and the previous bound on the last local maximum of
 max(H, 0): the bound is re-tracked along the grid, and the crossing is
-bracketed on [bound, pi], where max(H, 0) is non-increasing and the
-crossing of the positive target unique.  The bracket is the previous
-root's own bisection cell when the target still crosses inside it,
-which is most steps of a slow CV taper; otherwise it starts one Newton
-step from the previous root on the previous solve's slope dH/ds, and
-Illinois regula falsi narrows it.  The scan then evaluates only inside
-the bracket, so the warm root is the cold scan's, bit for bit, after
-about 7.6 (charge-default) to 10.4 (charge-trickle) evaluations.  When
-there is no such bracket the cold scan runs and the solve reports a
-fallback.
+bracketed on [bound, pi].  Around the charger's range (sigma*, delta*
+in +-0.3, G in [0.5, 1.5], corrections in +-0.2) max(H, 0) is
+non-increasing there and the crossing of the positive target unique;
+beyond it the curve can rise right of the bound, past a jump of the q
+split, and a property in tests/test_warm_solver.py checks warm = cold
+over the loop's whole domain.  The bracket is the previous root's own
+bisection cell when the target still crosses inside it, which is most
+steps of a slow CV taper; otherwise it starts one Newton step from the
+previous root on the previous solve's slope dH/ds, and Illinois regula
+falsi narrows it.  The scan then evaluates only inside the bracket, so
+the warm root is the cold scan's, bit for bit, after about 7.6
+(charge-default) to 10.4 (charge-trickle) evaluations.  When there is
+no such bracket the cold scan runs and the solve reports a fallback.
 
 That warm state, (s_add, s_peak, slope) after a low-power solve, is
 read only here: solve_controls_scan returns it as its last element,
@@ -306,9 +309,10 @@ def _last_peak(sigma_ref, delta_ref, s_lo, gain, sigma_reg, delta_reg,
     previous bound s_peak: climb along SCAN_GRID to a point that neither
     grid neighbour exceeds (ties go left, towards s_lo).  The maximum
     lies within one grid step of that point, so the bound is the next
-    grid point to the right, and max(H, 0) is non-increasing from it to
-    pi.  (For delta* > 0, H itself is negative just left of pi and
-    rises to 0 at pi.)
+    grid point to the right.  Around the charger's range (module
+    docstring) max(H, 0) is non-increasing from it to pi; beyond it the
+    curve can rise again past a jump of the q split.  (For delta* > 0,
+    H itself is negative just left of pi and rises to 0 at pi.)
 
     The climb starts next to s_peak and may take PEAK_MOVES steps; when
     s_peak is unknown (negative) or the maximum has moved farther, it
@@ -469,12 +473,11 @@ def solve_controls_scan(sigma_ref, delta_ref, s_add_req, gain, w_ref,
     previous bound on the last local maximum of max(H, 0) (negative:
     not known yet) and the previous solve's dH/ds at s_prev (0.0: not
     known yet).  The bound is tracked from s_peak and the crossing
-    bracketed on [bound, pi], where max(H, 0) is non-increasing and the
-    crossing of the positive target unique: when slope < 0, by s_prev's
-    own bisection cell if the target still crosses inside it, else from
-    s_prev or one Newton step off it (_warm_bracket); the scan then
-    evaluates only inside that bracket, which gives the cold scan's
-    s_add bit for bit.
+    bracketed on [bound, pi] (the module docstring says where it is
+    unique there): when slope < 0, by s_prev's own bisection cell if the
+    target still crosses inside it, else from s_prev or one Newton step
+    off it (_warm_bracket); the scan then evaluates only inside that
+    bracket, which gives the cold scan's s_add bit for bit.
     Without a bracket there (the crossing moved left of the hump, or
     none was found) the cold scan runs and the fallback flag is set.
 

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import _kernels as k
 from .control import PiController, parallel_step
-from .errors import (BelowResonanceError, DbsrcError,
-                     DegenerateTankCurrentError)
+from .errors import DbsrcError, DegenerateTankCurrentError
 from .inversion import ControlReferences
-from .model import SwitchingParams, TankConfig
+from .model import SwitchingParams, TankConfig, _checked_impedance
 
 
 def default_tank() -> TankConfig:
@@ -130,20 +129,13 @@ def plant_step(p: SwitchingParams, cfg: ScenarioConfig,
     """True converter outputs (W, sigma, delta) at gain G, before sensor
     lag.
 
-    Evaluates the steady-state model of cfg.tank with beta replaced by
-    beta + cfg.beta_offset and L by L * cfg.l_scale.
+    The steady-state model of cfg.tank, its checks included, with beta
+    replaced by beta + cfg.beta_offset and L by L * cfg.l_scale.
     """
     d, s, beta, omega = p
-    if omega is None:
-        raise ValueError("SwitchingParams.omega must be set")
-    if not gain >= 0:
-        raise ValueError("gain must be non-negative")
     tank = cfg.tank
-    ind = tank.inductance * cfg.l_scale
-    z = k.tank_impedance(omega, ind, tank.capacitance)
-    if z <= 0:
-        raise BelowResonanceError(
-            f"plant sees Z({omega}) <= 0 with scaled inductance")
+    z = _checked_impedance(omega, gain, tank.inductance * cfg.l_scale,
+                           tank.capacitance)
     amp, sigma, delta, degenerate = k.forward_point(
         d, s, beta + cfg.beta_offset, gain)
     if degenerate:

@@ -19,6 +19,7 @@ maps and the small-angle linearized approximation.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from typing import Tuple
 
 from . import _kernels as k
@@ -65,8 +66,8 @@ class InversionResult:
 def try_invert_alignment(refs: ControlReferences, gain: float) -> InversionResult:
     """Inverse map that reports infeasibility in the result instead of
     raising; see invert_alignment."""
-    if not gain > 0:
-        raise ValueError("gain must be positive")
+    if not 0.0 < gain < inf:
+        raise ValueError("gain must be positive and finite")
     d, s, beta, s_min, is_boost, feasible = k.invert_exact(
         refs.sigma_ref, refs.delta_ref, refs.s_add, gain)
     return InversionResult(
@@ -87,6 +88,7 @@ def invert_alignment(refs: ControlReferences, gain: float) -> InversionResult:
     d expression evaluated at the total s.  beta = sigma* + delta*.
 
     Raises:
+        ValueError: for G <= 0, infinite or NaN.
         InfeasibleReferenceError: when an acos argument leaves [-1, 1]
             beyond tolerance, (d, s) leaves its range, or the resulting
             in-phase coefficient is negative.
@@ -152,8 +154,8 @@ def fully_driven_maps(gain: float, g_star: float) -> Tuple[float, float]:
     """
     if not 0.0 < g_star <= 1.0:
         raise ValueError("G* must be in (0, 1]")
-    if not gain > 0:
-        raise ValueError("gain must be positive")
+    if not 0.0 < gain < inf:
+        raise ValueError("gain must be positive and finite")
     beta = math.acos(min(gain, g_star))
     s = math.acos(2.0 * g_star / max(gain, g_star) - 1.0)
     return beta, s
@@ -166,10 +168,7 @@ def beta_zero_maps(gain: float) -> Tuple[float, float]:
     They are G <= 1: d = acos(1 - 2 G), s = 0; G > 1: d = pi,
     s = acos(2/G - 1), and satisfy 1 - G - cos d - G cos s = 0.
     """
-    if not gain > 0:
-        raise ValueError("gain must be positive")
-    d, s, _beta, _s_min, _boost, _ok = k.invert_exact(0.0, 0.0, 0.0, gain)
-    return d, s
+    return try_invert_alignment(ControlReferences(0.0, 0.0), gain).params[:2]
 
 
 def linearized_inverse(refs: ControlReferences, gain: float) -> Tuple[float, float, float]:
@@ -184,10 +183,8 @@ def linearized_inverse(refs: ControlReferences, gain: float) -> Tuple[float, flo
 
     Raises:
         UndefinedAtUnityGainError: for |G - 1| < 1e-6.
-        ValueError: where the shift carries d or s out of [0, pi].
+        ValueError: for G not in (0, inf), or a shift out of [0, pi].
     """
-    if not gain > 0:
-        raise ValueError("gain must be positive")
     if abs(gain - 1.0) < 1e-6:
         raise UndefinedAtUnityGainError("linearized map undefined at G = 1")
     d, s = beta_zero_maps(gain)

@@ -13,6 +13,7 @@ radians; no wrapping is performed, callers supply beta in [-pi, pi].
 
 import math
 from dataclasses import dataclass
+from math import inf
 from typing import NamedTuple, Optional, Tuple
 
 from . import _kernels as k
@@ -108,10 +109,10 @@ def alignment_angles(p: SwitchingParams, gain: float) -> Tuple[float, float]:
     Raises:
         DegenerateTankCurrentError: at the collapse point A = B = 0,
             where the zero-crossing angle is physically undefined.
-        ValueError: for G < 0 or NaN.
+        ValueError: for G < 0, infinite or NaN.
     """
-    if not gain >= 0:
-        raise ValueError("gain must be non-negative")
+    if not 0.0 <= gain < inf:
+        raise ValueError("gain must be non-negative and finite")
     _amp, sigma, delta, degenerate = k.forward_point(p.d, p.s, p.beta, gain)
     if degenerate:
         raise DegenerateTankCurrentError(
@@ -126,14 +127,21 @@ def tank_impedance(omega: float, tank: TankConfig) -> float:
     return k.tank_impedance(omega, tank.inductance, tank.capacitance)
 
 
-def _impedance_above_resonance(p: SwitchingParams, tank: TankConfig) -> float:
-    """Z(p.omega), which the forward maps need positive."""
-    if p.omega is None:
+def _checked_impedance(omega: Optional[float], gain: float, ind: float,
+                       cap: float) -> float:
+    """Z(omega) for inductance ind and capacitance cap, after a forward
+    map's checks: ValueError for an unset omega, omega <= 0 or NaN, or
+    G < 0, inf or NaN; BelowResonanceError for Z(omega) <= 0."""
+    if omega is None:
         raise ValueError("SwitchingParams.omega must be set")
-    z = tank_impedance(p.omega, tank)
+    if not omega > 0:
+        raise ValueError("omega must be positive")
+    if not 0.0 <= gain < inf:
+        raise ValueError("gain must be non-negative and finite")
+    z = k.tank_impedance(omega, ind, cap)
     if z <= 0:
         raise BelowResonanceError(
-            f"Z({p.omega}) <= 0: operation below resonance is rejected")
+            f"Z({omega}) <= 0: operation below resonance is rejected")
     return z
 
 
@@ -145,11 +153,9 @@ def transconductance(p: SwitchingParams, gain: float, tank: TankConfig) -> float
 
     Raises:
         BelowResonanceError: if Z(omega) <= 0.
-        ValueError: for G < 0 or NaN.
+        ValueError: for an unset omega, or G < 0, infinite or NaN.
     """
-    if not gain >= 0:
-        raise ValueError("gain must be non-negative")
-    z = _impedance_above_resonance(p, tank)
+    z = _checked_impedance(p.omega, gain, tank.inductance, tank.capacitance)
     amp, _sigma, delta, _degenerate = k.forward_point(p.d, p.s, p.beta, gain)
     return k.w_from_amplitude(amp, p.s, delta, z, tank.turns_ratio)
 
@@ -163,13 +169,11 @@ def tank_current_amplitude(p: SwitchingParams, gain: float, v_in: float,
 
     Raises:
         BelowResonanceError: if Z(omega) <= 0.
-        ValueError: for G < 0 or V_in <= 0.
+        ValueError: for an unset omega, V_in <= 0, or G < 0, inf or NaN.
     """
-    if not gain >= 0:
-        raise ValueError("gain must be non-negative")
     if not v_in > 0:
         raise ValueError("V_in must be positive")
-    z = _impedance_above_resonance(p, tank)
+    z = _checked_impedance(p.omega, gain, tank.inductance, tank.capacitance)
     amp = k.forward_point(p.d, p.s, p.beta, gain)[0]
     return v_in * amp / (2.0 * math.pi * z)
 
@@ -182,9 +186,9 @@ def sync_rect_residual(p: SwitchingParams, gain: float) -> float:
     positive in-phase coefficient.
 
     Raises:
-        ValueError: for G < 0 or NaN.
+        ValueError: for G < 0, infinite or NaN.
     """
-    if not gain >= 0:
-        raise ValueError("gain must be non-negative")
+    if not 0.0 <= gain < inf:
+        raise ValueError("gain must be non-negative and finite")
     return math.cos(p.beta) - gain - math.cos(p.beta - p.d) \
         - gain * math.cos(p.s)

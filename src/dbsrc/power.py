@@ -17,6 +17,7 @@ the boundary s_add0 where that branch starts is only reported
 """
 
 import math
+from math import inf
 from typing import NamedTuple, Optional, Tuple
 
 from . import _kernels as k
@@ -53,8 +54,8 @@ def gain_term_h(refs: ControlReferences, gain: float) -> float:
     """
     if abs(math.cos(refs.sigma_ref)) <= 1e-9:
         raise ValueError("cos(sigma*) too small for the H split")
-    if not gain > 0:
-        raise ValueError("gain must be positive")
+    if not 0.0 < gain < inf:
+        raise ValueError("gain must be positive and finite")
     _d, _s, _beta, h, feasible, _boost = k.regulated_point(
         refs.sigma_ref, refs.delta_ref, refs.s_add, gain, 0.0, 0.0)
     if not feasible:
@@ -72,7 +73,7 @@ def required_impedance(h: float, w_ref: float, turns_ratio: float) -> float:
         ZeroPowerReferenceError: for W* = 0 (infinite impedance; the
             caller must take the low-power/shutdown path).
     """
-    if not 0.0 <= w_ref < math.inf:
+    if not 0.0 <= w_ref < inf:
         raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
     if w_ref == 0:
         raise ZeroPowerReferenceError(
@@ -104,11 +105,11 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
     Returns (beta, s, omega).
 
     Raises:
-        ValueError: for W* negative, infinite or NaN, G <= 0 or G*
-            outside (0, 1].
+        ValueError: for W* negative, infinite or NaN, G not positive
+            and finite, or G* outside (0, 1].
         ZeroPowerReferenceError: for W* = 0.
     """
-    if not 0.0 <= w_ref < math.inf:
+    if not 0.0 <= w_ref < inf:
         raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
     if w_ref == 0:
         raise ZeroPowerReferenceError("W* must be positive")
@@ -130,8 +131,8 @@ def s_add_zero_boundary(refs: ControlReferences, gain: float) -> float:
     Raises:
         InfeasibleReferenceError: references not invertible at s_add = 0.
     """
-    if not gain > 0:
-        raise ValueError("gain must be positive")
+    if not 0.0 < gain < inf:
+        raise ValueError("gain must be positive and finite")
     s_add0, feasible = k.s_add_zero_scan(refs.sigma_ref, refs.delta_ref, gain)
     if not feasible:
         raise InfeasibleReferenceError(
@@ -163,15 +164,15 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
     Without warm (the default) every low-power solve is the full scan.
 
     Raises:
-        ValueError: for W* negative, infinite or NaN, or G < 0 or NaN.
+        ValueError: for W* or G negative, infinite or NaN.
         InfeasibleReferenceError: references not invertible at this gain.
         UnreachablePowerError: no s_add in [0, pi] meets the request at
             omega <= omega_max (e.g. collapsed tank current).
     """
-    if not 0.0 <= w_ref < math.inf:
+    if not 0.0 <= w_ref < inf:
         raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
-    if not gain >= 0:
-        raise ValueError("gain must be non-negative")
+    if not 0.0 <= gain < inf:
+        raise ValueError("gain must be non-negative and finite")
     sigma_reg, delta_reg = corrections
     d, s, beta, omega, s_used, _h, _w, status, _fallback, _evals, \
         warm = k.solve_controls_scan(

@@ -14,7 +14,8 @@ from dbsrc import _kernels, charger, cli, model, power
 # is transconductance at its params)
 REMOVED = {
     model: ("AlignmentAngles", "HarmonicCoefficients",
-            "harmonic_coefficients", "DEGENERATE_AMP_SQ"),
+            "harmonic_coefficients", "DEGENERATE_AMP_SQ",
+            "_impedance_above_resonance"),
     _kernels: ("q_reference", "clamped_acos", "transconductance_point"),
     charger: ("SensorLag", "ControllerGains", "Uncertainties"),
     charger.Trace: ("beta_offset",),

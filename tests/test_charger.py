@@ -107,6 +107,27 @@ class TestPlantStep:
         with pytest.raises(ValueError, match="omega"):
             plant_step(self.p._replace(omega=None), self.cfg, self.gain)
 
+    @pytest.mark.parametrize("omega", [0.0, math.nan, -2 * math.pi * 120e3],
+                             ids=["zero", "nan", "negative"])
+    def test_non_positive_frequency_rejected(self, omega):
+        # _replace skips SwitchingParams' checks; the plant checks omega
+        # through the model, as transconductance does
+        p = self.p._replace(omega=omega)
+        with pytest.raises(ValueError, match="omega must be positive"):
+            plant_step(p, self.cfg, self.gain)
+        with pytest.raises(ValueError, match="omega must be positive"):
+            transconductance(p, self.gain, self.tank)
+
+    def test_below_resonance_is_the_model_check(self):
+        # with l_scale = 1 the plant's tank is the model's, and so is
+        # the rejection
+        p = self.p._replace(omega=0.99 * self.tank.omega_resonant)
+        with pytest.raises(BelowResonanceError) as plant:
+            plant_step(p, replace(self.cfg, l_scale=1.0), self.gain)
+        with pytest.raises(BelowResonanceError) as model:
+            transconductance(p, self.gain, self.tank)
+        assert str(plant.value) == str(model.value)
+
     def test_below_scaled_resonance_rejected(self):
         # L * 0.9 moves the resonance above 1.01 times the nominal one
         p = self.p._replace(omega=1.01 * self.tank.omega_resonant)
@@ -183,6 +204,15 @@ class TestScenarioConfig:
         # each went wrong in the run: an overflow, no steps, a bare
         # ValueError without the partial trace, or a negative G
         with pytest.raises(ValueError, match=name):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("v_in", 0.0), ("i_cc", -1.0), ("v_cv", 0.0), ("dt", 0.0),
+        ("duration", -1.0), ("time_scale", 0.0), ("capacity_ah", 0.0),
+        ("i_ref_slew", 0.0), ("sensor_tau", -1e-3)])
+    def test_out_of_range_rejected(self, name, value):
+        # the message names the field ("capacity" for capacity_ah)
+        with pytest.raises(ValueError, match=name.removesuffix("_ah")):
             ScenarioConfig(**{name: value})
 
     def test_integer_beyond_float_range_accepted(self):

@@ -225,6 +225,11 @@ class TestQMaps:
         assert s == pytest.approx(math.pi / 2, abs=1e-15)
         assert q_split(math.pi, 0.0) == (math.pi, 0.0)
 
+    @pytest.mark.parametrize("q", [7.0, -0.1])
+    def test_q_split_rejects_q_out_of_range(self, q):
+        with pytest.raises(ValueError, match="q out of"):
+            q_split(q, 0.0)
+
     def test_q_from_references_buck(self):
         q, mode = q_from_references(refs(), 0.5)
         assert mode is Mode.BUCK
@@ -383,6 +388,11 @@ class TestFullyDrivenMaps:
         assert s == pytest.approx(math.pi / 2, abs=1e-12)
         assert beta == pytest.approx(math.acos(0.95), abs=1e-15)
 
+    @pytest.mark.parametrize("g_star", [0.0, 1.5])
+    def test_g_star_out_of_range_rejected(self, g_star):
+        with pytest.raises(ValueError, match="G\\*"):
+            fully_driven_maps(0.5, g_star)
+
 
 def closed_form_beta_zero(gain):
     """Reference copy of the beta = 0 maps' closed form."""
@@ -525,3 +535,17 @@ class TestNanGainRejected:
     def test_nan_gain_rejected(self, call):
         with pytest.raises(ValueError, match="gain"):
             call(math.nan)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: try_invert_alignment(refs(0.1), g),
+        lambda g: invert_alignment(refs(0.1), g),
+        lambda g: q_from_references(refs(0.1), g),
+        lambda g: fully_driven_maps(g, 0.9),
+        lambda g: beta_zero_maps(g),
+        lambda g: linearized_inverse(refs(0.1), g),
+    ], ids=["try_invert_alignment", "invert_alignment", "q_from_references",
+            "fully_driven_maps", "beta_zero_maps", "linearized_inverse"])
+    def test_infinite_gain_rejected(self, call):
+        # an infinite G would otherwise come back as d = s = pi, feasible
+        with pytest.raises(ValueError, match="gain must be positive"):
+            call(math.inf)

@@ -174,6 +174,20 @@ class TestTankImpedance:
         assert tank_impedance(w0 * (1 - 1e-6), TANK) < 0
         assert tank_impedance(w0 * (1 + 1e-6), TANK) > 0
 
+    def test_non_positive_frequency_rejected(self):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            tank_impedance(0.0, TANK)
+
+
+@pytest.mark.parametrize("forward_map", [
+    lambda p: transconductance(p, 0.5, TANK),
+    lambda p: tank_current_amplitude(p, 0.5, 600.0, TANK),
+], ids=["transconductance", "tank_current_amplitude"])
+def test_unset_frequency_rejected(forward_map):
+    # the inversion maps leave omega unset; the forward maps need it
+    with pytest.raises(ValueError, match="omega must be set"):
+        forward_map(params(math.pi / 2, 0.0, 0.0))
+
 
 class TestTransconductance:
     def test_collapse_gives_zero(self):
@@ -282,7 +296,7 @@ class TestSyncRectResidual:
                 assert abs(sync_rect_residual(p2, gain)) > 1e-6
 
 
-@pytest.mark.parametrize("gain", [math.nan, -0.5])
+@pytest.mark.parametrize("gain", [math.nan, -0.5, math.inf])
 @pytest.mark.parametrize("forward_map", [
     alignment_angles,
     lambda p, gain: transconductance(p, gain, TANK),

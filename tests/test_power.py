@@ -224,6 +224,16 @@ class TestSolveControls:
             solve_controls(refs(0.1, 0.0), 0.9, 0.05, default_tank(),
                            corrections)
 
+    @pytest.mark.parametrize("references, delta_reg, beta", [
+        ((1.4, 1.5), 0.5, math.pi), ((-1.4, -1.5), -0.5, -math.pi)],
+        ids=["above", "below"])
+    def test_corrected_beta_clamped_to_its_range(self, references, delta_reg,
+                                                 beta):
+        # sigma* + delta* + delta_reg = +-3.4 leaves [-pi, pi]
+        sol = solve_controls(ControlReferences(*references), 1.0, 0.01,
+                             default_tank(), (0.0, delta_reg))
+        assert sol.params.beta == beta
+
     def test_zero_reference_full_short(self):
         sol = solve_controls(refs(0.1, 0.0), 0.7, 0.0, TANK)
         assert sol.s_add == math.pi
@@ -382,6 +392,17 @@ class TestDomains:
         # each gain check reads "not gain > 0", which NaN fails too
         with pytest.raises(ValueError, match="gain"):
             call(math.nan)
+
+    @pytest.mark.parametrize("call", [
+        lambda g: gain_term_h(refs(), g),
+        lambda g: s_add_zero_boundary(refs(), g),
+        lambda g: fully_driven_frequency(g, 0.95, 0.05, TANK),
+    ], ids=["gain_term_h", "s_add_zero_boundary", "fully_driven_frequency"])
+    def test_infinite_gain_rejected(self, call):
+        # an infinite G would otherwise give H = NaN, s_add0 = 0 or a
+        # ValueError about Z instead of G
+        with pytest.raises(ValueError, match="gain must be positive"):
+            call(math.inf)
 
     def test_nan_impedance_rejected(self):
         with pytest.raises(ValueError, match="Z"):

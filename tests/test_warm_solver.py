@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import dbsrc.charger
 from dbsrc import (ControlReferences, ScenarioConfig, UnreachablePowerError,
                    default_tank, run_scenario, solve_controls)
 from dbsrc import _kernels as k
-from dbsrc.charger import TRACE_COLUMNS
+from dbsrc.charger import ANGLE_CORR_LIMIT, TRACE_COLUMNS
 
 TANK = default_tank()
 Z_MAX = k.tank_impedance(TANK.omega_max, TANK.inductance, TANK.capacitance)
@@ -95,6 +95,42 @@ def test_dimming_curve_is_non_increasing_right_of_the_peak_bound(args):
                                       sigma_reg, delta_reg)[3] for x in xs],
                    0.0)
     assert np.all(np.diff(h) <= 1e-12 * max(1.0, h.max()))
+
+
+CORRECTIONS = st.floats(-ANGLE_CORR_LIMIT, ANGLE_CORR_LIMIT)
+
+
+@SETTINGS
+@given(sigma_ref=st.floats(-1.5, 1.5), delta_ref=st.floats(-1.5, 1.5),
+       gain=st.floats(0.05, 3.0), sigma_reg=CORRECTIONS,
+       delta_reg=CORRECTIONS, w_frac=st.floats(0.02, 0.98),
+       w_step=st.floats(-0.05, 0.05))
+# the curve rises right of the peak bound here: q falls back to pi near
+# s_add = 1.35, H drops there and climbs to a second maximum past the
+# bound of 1.2272
+@example(0.288942188866184, 0.055806097490722295, 1.4873622709182488,
+         0.4065670641821407, 0.16913595893280353, 0.488, 0.01)
+def test_warm_solve_equals_the_cold_scan_over_the_loops_domain(
+        sigma_ref, delta_ref, gain, sigma_reg, delta_reg, w_frac, w_step):
+    """Over all the loop can reach, where max(H, 0) may rise right of the
+    peak bound: a warm solve from the previous solve's state returns the
+    cold scan's result bit for bit, unless it falls back."""
+    h0 = k.regulated_point(sigma_ref, delta_ref, 0.0, gain, sigma_reg,
+                           delta_reg)[3]
+    assume(h0 > 1e-6)
+    w_ref = k.hz_split(h0, Z_MAX, TANK.turns_ratio) * w_frac
+    args = (sigma_ref, delta_ref, 0.0, gain, w_ref, sigma_reg, delta_reg,
+            TANK.inductance, TANK.capacitance, TANK.turns_ratio,
+            TANK.omega_max)
+    cold = k.solve_controls_scan(*args)
+    assume(cold[7] == k.OK_LOWPOWER)
+    prev = k.solve_controls_scan(*with_w(args, w_ref * math.exp(w_step)),
+                                 (1.0, -1.0, 0.0))
+    assume(prev[7] == k.OK_LOWPOWER)
+    warm = k.solve_controls_scan(*args, prev[10])
+    assert warm[7] == cold[7]
+    if not warm[8]:
+        assert warm[:7] == cold[:7]
 
 
 def test_no_warm_state_is_the_cold_scan():
