@@ -21,10 +21,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import _kernels as k
-from .control import PiController, parallel_step
+from .control import PiController
+# run_scenario does parallel_step's work on floats without calling it;
+# the name stays a charger attribute because perfbench's tracer wraps
+# dbsrc.charger.parallel_step and fails on a missing attribute
+from .control import parallel_step  # noqa: F401
 from .errors import DbsrcError, DegenerateTankCurrentError
 from .inversion import ControlReferences
 from .model import SwitchingParams, TankConfig, _checked_impedance
+from .power import _checked_solve
 
 
 def default_tank() -> TankConfig:
@@ -46,6 +51,8 @@ W_CORR_LIMIT = 0.25
 # the stream of as many scalar calls, and a small block keeps the list
 # of floats small
 NOISE_BLOCK = 256
+# the message of the plant's collapse check, in plant_step and the loop
+PLANT_COLLAPSED = "plant tank current collapsed"
 
 
 @dataclass(frozen=True)
@@ -139,7 +146,7 @@ def plant_step(p: SwitchingParams, cfg: ScenarioConfig,
     amp, sigma, delta, degenerate = k.forward_point(
         d, s, beta + cfg.beta_offset, gain)
     if degenerate:
-        raise DegenerateTankCurrentError("plant tank current collapsed")
+        raise DegenerateTankCurrentError(PLANT_COLLAPSED)
     return k.w_from_amplitude(amp, s, delta, z, tank.turns_ratio), \
         sigma, delta
 
@@ -235,8 +242,16 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 
     The scenario traverses low-power buck (during the current ramp),
     regular buck, boost past G = 1 and finally low-power boost as the CV
-    stage tapers the current.  Each step passes sol.warm to the next
-    solve, which warm-starts the low-power ones (see solve_controls).
+    stage tapers the current.
+
+    Each step does the work of parallel_step, plant_step and
+    battery_step on plain floats, without a record per step: the
+    four PiController steps, one _kernels.solve_controls_scan through
+    solve_controls' checks, whose warm state goes to the next step's
+    solve (see solve_controls), and forward_point and w_from_amplitude
+    through plant_step's checks.  tests/test_scenario_oracle.py checks
+    it against those calls, bit for bit.  The kernels are looked up in
+    _kernels when the run starts.
 
     Raises:
         ScenarioAbort: when the controller signals unreachable power or
@@ -244,8 +259,6 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     """
     dt = cfg.dt
     n_steps = int(round(cfg.duration / dt))
-    refs = ControlReferences(sigma_ref=cfg.sigma_ref,
-                             delta_ref=cfg.delta_ref, s_add=0.0)
 
     lim = ANGLE_CORR_LIMIT
     pi_sigma = PiController(cfg.sigma_kp, cfg.sigma_ki, dt, -lim, lim)
@@ -273,14 +286,20 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     col_i_ref, col_v_bat, col_d, col_s, col_beta, col_omega, col_sigma, \
         col_s_add, col_w = map(memoryview, data.values())
     trace = Trace(data=data, steps=0, cfg=cfg)
-    warm = None     # low-power solver state: sol.warm of the last step
+    warm = None     # low-power solver state: what the last solve returned
 
+    # the references at s_add = 0, checked by ScenarioConfig
+    sigma_ref, delta_ref = cfg.sigma_ref, cfg.delta_ref
     tank, v_in, v_cv = cfg.tank, cfg.v_in, cfg.v_cv
+    ind, cap, ratio, omega_max = (tank.inductance, tank.capacitance,
+                                  tank.turns_ratio, tank.omega_max)
+    ind_plant, beta_offset = ind * cfg.l_scale, cfg.beta_offset
+    forward_point, w_from_amplitude = k.forward_point, k.w_from_amplitude
     i_ref = 0.0
     slew = cfg.i_ref_slew * dt
     for step in range(n_steps):
         v_bat = pack_voltage(charge, cfg)
-        gain = tank.turns_ratio * v_bat / v_in
+        gain = ratio * v_bat / v_in
 
         # outer CC/CV stage: voltage PI saturated at the CC setpoint,
         # slew-limited on the way up (soft start)
@@ -294,15 +313,29 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
         w_ref = i_ref / v_in
 
         try:
-            params, s_add, _low, warm = parallel_step(
-                refs, w_ref, lag_sigma, lag_delta, lag_w,
-                pi_sigma, pi_delta, pi_w, gain, tank, warm=warm)
-            w_true, sigma_true, delta_true = plant_step(params, cfg, gain)
+            # parallel_step: the angle PIs' actions go onto q and beta,
+            # the W PI trims the power request
+            sigma_reg = pi_sigma.step(sigma_ref - lag_sigma)
+            delta_reg = pi_delta.step(delta_ref - lag_delta)
+            w_eff = w_ref + pi_w.step(w_ref - lag_w)
+            if w_eff < 0.0:
+                w_eff = 0.0
+            params, s_add, _low, warm = _checked_solve(
+                sigma_ref, delta_ref, 0.0, gain, w_eff, sigma_reg,
+                delta_reg, ind, cap, ratio, omega_max, warm)
+            d, s, beta, omega = params
+            # plant_step: the model at beta + beta_offset and L * l_scale
+            z = _checked_impedance(omega, gain, ind_plant, cap)
+            amp, sigma_true, delta_true, degenerate = forward_point(
+                d, s, beta + beta_offset, gain)
+            if degenerate:
+                raise DegenerateTankCurrentError(PLANT_COLLAPSED)
         except DbsrcError as exc:
             trace.steps = step
             raise ScenarioAbort(
                 f"scenario aborted at step {step} (t={step * dt:.6f} s): "
                 f"{exc}", trace, step) from exc
+        w_true = w_from_amplitude(amp, s, delta_true, z, ratio)
 
         i_out = w_true * v_in
 

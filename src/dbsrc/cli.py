@@ -31,7 +31,7 @@ from . import _kernels as k
 from .charger import (ScenarioAbort, ScenarioConfig, TRACE_COLUMNS, Trace,
                       default_tank, run_scenario)
 from .errors import InfeasibleReferenceError
-from .inversion import ControlReferences
+from .inversion import ControlReferences, try_invert_alignment
 from .model import TankConfig
 from .power import gain_term_h, s_add_zero_boundary
 
@@ -138,8 +138,6 @@ MAP_DEFAULTS: Dict[str, object] = {
 
 def cmd_map(cfg: Dict[str, object]):
     gain, s_add = cfg["gain"], cfg["s_add"]
-    if gain < 0:
-        raise ConfigError("gain must be non-negative")
     if cfg["sigma_steps"] < 1 or cfg["delta_steps"] < 1:
         raise ConfigError("grid steps must be >= 1")
     sigmas = np.linspace(cfg["sigma_start"], cfg["sigma_stop"],
@@ -150,12 +148,12 @@ def cmd_map(cfg: Dict[str, object]):
     rows = []
     for sigma_ref in sigmas:
         for delta_ref in deltas:
-            ControlReferences(sigma_ref, delta_ref, s_add)
-            d, s, beta, _smin, _boost, ok = k.invert_exact(
-                sigma_ref, delta_ref, s_add, gain)
-            if not ok:
+            inv = try_invert_alignment(
+                ControlReferences(sigma_ref, delta_ref, s_add), gain)
+            d, s, beta, _omega = inv.params
+            if not inv.feasible:
                 d = s = math.nan
-            rows.append((sigma_ref, delta_ref, d, s, beta, int(ok)))
+            rows.append((sigma_ref, delta_ref, d, s, beta, int(inv.feasible)))
     header = ("sigma_ref", "delta_ref", "d", "s", "beta", "feasible")
     return header, rows, EXIT_OK
 

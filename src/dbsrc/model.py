@@ -69,8 +69,8 @@ def _checked_params(cls, d: float, s: float, beta: float,
                     omega: Optional[float] = None):
     """The range checks of SwitchingParams, then the record of class cls
     built by tuple.__new__.  This is SwitchingParams.__new__ itself;
-    solve_controls calls it directly, without the cost of a class call,
-    since it runs once per control step."""
+    the power solve calls it directly with cls = tuple, without the cost
+    of a class call or a record, since it runs once per control step."""
     if not _ANGLE_MIN <= d <= _ANGLE_MAX:
         raise ValueError(f"d out of [0, pi]: {d}")
     if not _ANGLE_MIN <= s <= _ANGLE_MAX:

@@ -64,6 +64,18 @@ def gain_term_h(refs: ControlReferences, gain: float) -> float:
     return h
 
 
+def _checked_w_ref(w_ref: float, zero_ok: bool) -> float:
+    """W* after the one W* rule: ValueError for W* negative, infinite or
+    NaN, ZeroPowerReferenceError for W* = 0 unless zero_ok (a solve
+    takes W* = 0 on its low-power path)."""
+    if not 0.0 <= w_ref < inf:
+        raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
+    if w_ref == 0 and not zero_ok:
+        raise ZeroPowerReferenceError(
+            "W* = 0 needs infinite impedance; use the low-power path")
+    return w_ref
+
+
 def required_impedance(h: float, w_ref: float, turns_ratio: float) -> float:
     """Tank reactance needed for the requested transconductance:
     Z = n H / (2 pi^2 W*).
@@ -73,12 +85,7 @@ def required_impedance(h: float, w_ref: float, turns_ratio: float) -> float:
         ZeroPowerReferenceError: for W* = 0 (infinite impedance; the
             caller must take the low-power/shutdown path).
     """
-    if not 0.0 <= w_ref < inf:
-        raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
-    if w_ref == 0:
-        raise ZeroPowerReferenceError(
-            "W* = 0 needs infinite impedance; use the low-power path")
-    return k.hz_split(h, w_ref, turns_ratio)
+    return k.hz_split(h, _checked_w_ref(w_ref, False), turns_ratio)
 
 
 def frequency_from_impedance(z: float, tank: TankConfig) -> float:
@@ -109,10 +116,7 @@ def fully_driven_frequency(gain: float, g_star: float, w_ref: float,
             and finite, or G* outside (0, 1].
         ZeroPowerReferenceError: for W* = 0.
     """
-    if not 0.0 <= w_ref < inf:
-        raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
-    if w_ref == 0:
-        raise ZeroPowerReferenceError("W* must be positive")
+    _checked_w_ref(w_ref, False)
     beta, s = fully_driven_maps(gain, g_star)
     amp, _sigma, delta, _degenerate = k.forward_point(math.pi, s, beta, gain)
     z = k.w_from_amplitude(amp, s, delta, 1.0, tank.turns_ratio) / w_ref
@@ -169,24 +173,42 @@ def solve_controls(refs: ControlReferences, gain: float, w_ref: float,
         UnreachablePowerError: no s_add in [0, pi] meets the request at
             omega <= omega_max (e.g. collapsed tank current).
     """
-    if not 0.0 <= w_ref < inf:
-        raise ValueError(f"W* must be finite and non-negative, not {w_ref}")
+    sigma_reg, delta_reg = corrections
+    params, s_used, low_power, warm = _checked_solve(
+        refs.sigma_ref, refs.delta_ref, refs.s_add, gain, w_ref, sigma_reg,
+        delta_reg, tank.inductance, tank.capacitance, tank.turns_ratio,
+        tank.omega_max, warm)
+    # the records without class calls: params passed SwitchingParams'
+    # checks in _checked_solve
+    return _tuple_new(PowerSolution, (
+        _tuple_new(SwitchingParams, params), s_used, low_power, warm))
+
+
+def _checked_solve(sigma_ref: float, delta_ref: float, s_add: float,
+                   gain: float, w_ref: float, sigma_reg: float,
+                   delta_reg: float, ind: float, cap: float, ratio: float,
+                   omega_max: float, warm: Optional[tuple]) -> tuple:
+    """solve_controls on plain floats, the tank given as its four
+    numbers: its W* and G checks, _kernels.solve_controls_scan (looked
+    up per call), the scan's status mapped to its errors and the range
+    checks of SwitchingParams.  Returns the fields of the PowerSolution,
+    (params, s_add, low_power, warm), with params a plain (d, s, beta,
+    omega) tuple: the charger loop calls it once per control step and
+    builds no record.
+    """
+    _checked_w_ref(w_ref, True)
     if not 0.0 <= gain < inf:
         raise ValueError("gain must be non-negative and finite")
-    sigma_reg, delta_reg = corrections
     d, s, beta, omega, s_used, _h, _w, status, _fallback, _evals, \
         warm = k.solve_controls_scan(
-            refs.sigma_ref, refs.delta_ref, refs.s_add, gain, w_ref,
-            sigma_reg, delta_reg, tank.inductance, tank.capacitance,
-            tank.turns_ratio, tank.omega_max, warm)
+            sigma_ref, delta_ref, s_add, gain, w_ref, sigma_reg, delta_reg,
+            ind, cap, ratio, omega_max, warm)
     if status == k.INFEASIBLE:
         raise InfeasibleReferenceError(
             f"corrected references not invertible at G={gain}")
     if status == k.UNREACHABLE:
         raise UnreachablePowerError(
             f"W*={w_ref} unreachable at omega_max with references "
-            f"(sigma*={refs.sigma_ref}, delta*={refs.delta_ref})")
-    # no class calls, once per control step; the range checks still run
-    return _tuple_new(PowerSolution, (
-        _checked_params(SwitchingParams, d, s, beta, omega), s_used,
-        status == k.OK_LOWPOWER, warm))
+            f"(sigma*={sigma_ref}, delta*={delta_ref})")
+    return (_checked_params(tuple, d, s, beta, omega), s_used,
+            status == k.OK_LOWPOWER, warm)

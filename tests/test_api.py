@@ -4,7 +4,7 @@ exports."""
 from dataclasses import fields
 
 import dbsrc
-from dbsrc import _kernels, charger, cli, model, power
+from dbsrc import _kernels, charger, cli, control, model, power
 
 # names deleted with the two-record forward model, the second q map, the
 # sensor-lag class (the loop's lags are floats), the CLI's lazy config
@@ -49,3 +49,24 @@ def test_removed_names_are_gone():
                 assert name not in field_names
             assert not hasattr(dbsrc, name)
             assert name not in dbsrc.__all__
+
+
+# the attributes perfbench/tracer.py wraps: Tracer.__enter__ reads each
+# with getattr, so a missing one makes every --trace 1 run fail, even
+# where the loop no longer calls it (charger.parallel_step and
+# charger.plant_step)
+TRACED = {
+    charger: ("parallel_step", "plant_step", "battery_step"),
+    control: ("solve_controls",),
+    _kernels: ("solve_controls_scan", "regulated_point", "forward_point",
+               "invert_exact"),
+    cli: ("main", "write_csv", "run_scenario"),
+    dbsrc: ("run_scenario",),
+}
+
+
+def test_traced_attributes_exist():
+    for module, names in TRACED.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), \
+                f"{module.__name__}.{name}"

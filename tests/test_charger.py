@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 import dbsrc.charger
-import dbsrc.control
 from dbsrc import (BelowResonanceError, DegenerateTankCurrentError,
-                   ScenarioAbort, ScenarioConfig, SwitchingParams,
-                   battery_step, default_tank, pack_voltage, plant_step,
-                   run_scenario, transconductance)
+                   PiController, ScenarioAbort, ScenarioConfig,
+                   SwitchingParams, battery_step, default_tank,
+                   pack_voltage, plant_step, run_scenario, transconductance)
 from dbsrc import _kernels as k
 
 
@@ -285,13 +284,13 @@ class TestRunScenario:
         assert np.sum(nxt == prev - slew) > 1000
 
     def test_each_layer_called_once_per_step(self, monkeypatch):
-        # perfbench's tracer wraps these module attributes and counts
-        # control steps, solves and plant evaluations through them
-        hooks = ((dbsrc.charger, "parallel_step"),
-                 (dbsrc.charger, "plant_step"),
-                 (dbsrc.charger, "battery_step"),
-                 (dbsrc.control, "solve_controls"),
-                 (k, "solve_controls_scan"), (k, "forward_point"))
+        # perfbench's tracer counts solves, plant evaluations and battery
+        # steps through these module attributes; the loop does the work
+        # of parallel_step and plant_step without calling them, through
+        # the kernels they call
+        hooks = ((dbsrc.charger, "battery_step"),
+                 (k, "solve_controls_scan"), (k, "forward_point"),
+                 (k, "w_from_amplitude"))
         calls = {}
 
         def counted(name, fn):
@@ -304,23 +303,29 @@ class TestRunScenario:
             calls[name] = 0
             monkeypatch.setattr(module, name,
                                 counted(name, getattr(module, name)))
+        calls["PiController.step"] = 0
+        monkeypatch.setattr(PiController, "step", counted(
+            "PiController.step", PiController.step))
         tr = run_scenario(ScenarioConfig(duration=0.2, i_ref_slew=200.0))
         assert 0.0 < np.mean(tr["s_add"] > 0) < 1.0   # both solve branches
-        assert calls == {name: tr.steps for _module, name in hooks}
+        expected = {name: tr.steps for _module, name in hooks}
+        expected["PiController.step"] = 4 * tr.steps
+        assert calls == expected
 
     def test_each_step_gets_the_warm_state_of_the_last(self, monkeypatch):
-        # the loop passes sol.warm to the next solve whatever the solve
-        # was, analytic and W* = 0 ones included
-        step = dbsrc.charger.parallel_step
+        # the loop passes the warm state a solve returns (the scan's
+        # index 10) to the next solve (its argument 11) whatever the
+        # solve was, analytic and W* = 0 ones included
+        scan = k.solve_controls_scan
         given, returned = [], []
 
-        def wrapper(*args, warm):
-            given.append(warm)
-            sol = step(*args, warm=warm)
-            returned.append(sol.warm)
-            return sol
+        def wrapper(*args):
+            given.append(args[11])
+            result = scan(*args)
+            returned.append(result[10])
+            return result
 
-        monkeypatch.setattr(dbsrc.charger, "parallel_step", wrapper)
+        monkeypatch.setattr(k, "solve_controls_scan", wrapper)
         tr = run_scenario(ScenarioConfig(duration=0.3))
         assert len(given) == tr.steps and given[0] is None
         for i in range(1, tr.steps):
@@ -331,39 +336,52 @@ class TestRunScenario:
     def test_measurements_are_lagged_plant_outputs(self, monkeypatch, tau):
         # each step measures through a first-order lag per signal,
         # m += alpha * (y - m) from m = 0 over the plant outputs of the
-        # steps before it; tau = 0 passes them through, m = y
-        plant, step = dbsrc.charger.plant_step, dbsrc.charger.parallel_step
-        outputs, measured = [], []
+        # steps before it; tau = 0 passes them through, m = y.  The plant
+        # outputs are forward_point's angles and w_from_amplitude's W,
+        # the measurements what the PIs get: per step the voltage error,
+        # then sigma* - sigma_m, delta* - delta_m and W* - W_m
+        forward, w_of = k.forward_point, k.w_from_amplitude
+        angles, ws, errors = [], [], []
 
-        def plant_wrapper(*args):
-            outputs.append(plant(*args))
-            return outputs[-1]
+        def forward_wrapper(*args):
+            out = forward(*args)
+            angles.append(out[1:3])
+            return out
 
-        def step_wrapper(refs, w_ref, sigma_m, delta_m, w_m, *args, **kw):
-            measured.append((sigma_m, delta_m, w_m))
-            return step(refs, w_ref, sigma_m, delta_m, w_m, *args, **kw)
+        def w_wrapper(*args):
+            ws.append(w_of(*args))
+            return ws[-1]
 
-        monkeypatch.setattr(dbsrc.charger, "plant_step", plant_wrapper)
-        monkeypatch.setattr(dbsrc.charger, "parallel_step", step_wrapper)
+        def pi_wrapper(pi, error):
+            errors.append(error)
+            return step(pi, error)
+
+        step = PiController.step
+        monkeypatch.setattr(k, "forward_point", forward_wrapper)
+        monkeypatch.setattr(k, "w_from_amplitude", w_wrapper)
+        monkeypatch.setattr(PiController, "step", pi_wrapper)
         cfg = ScenarioConfig(duration=0.05, sensor_tau=tau)
         tr = run_scenario(cfg)
-        assert len(measured) == len(outputs) == tr.steps == 500
+        assert len(angles) == len(ws) == tr.steps == 500
+        assert len(errors) == 4 * tr.steps
+        outputs = [(w, sg, dl) for w, (sg, dl) in zip(ws, angles)]
+        # the trace records the plant outputs
+        assert np.array_equal(tr["W"], ws)
+        assert np.array_equal(tr["sigma"], [sg for sg, _ in angles])
+        assert np.array_equal(tr["delta"], [dl for _, dl in angles])
         alpha = 1.0 if tau == 0 else 1.0 - math.exp(-cfg.dt / tau)
         w = sigma = delta = 0.0
         for i, (w_true, sigma_true, delta_true) in enumerate(outputs):
-            assert measured[i] == (sigma, delta, w), i
+            w_ref = tr["I_ref"][i] / cfg.v_in
+            assert errors[4 * i:4 * i + 4] == [
+                cfg.v_cv - tr["V_bat"][i], cfg.sigma_ref - sigma,
+                cfg.delta_ref - delta, w_ref - w], i
             if tau == 0:
                 w, sigma, delta = w_true, sigma_true, delta_true
             else:
                 w += alpha * (w_true - w)
                 sigma += alpha * (sigma_true - sigma)
                 delta += alpha * (delta_true - delta)
-        if tau == 0:
-            # each step sees exactly the outputs of the step before;
-            # step 0 sees 0.0
-            assert measured[0] == (0.0, 0.0, 0.0)
-            for got, (w, sg, dl) in zip(measured[1:], outputs):
-                assert got == (sg, dl, w)
 
     def test_abort_on_collapsed_references(self):
         # sigma* = 0 at G = 1 collapses the tank current; with the

@@ -341,7 +341,7 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("case", [
-        "map gain=-1", "map sigma_steps=0",
+        "map sigma_steps=0",
         "trajectory dt=0", "trajectory gain_start=-1",
         "lowpower gains=", "lowpower s_add_step=0",
         # feasible references, but A sits inside the A_MIN tolerance at
@@ -358,6 +358,16 @@ class TestConfigHandling:
         code, text = run_cmd(tmp_path, *args)
         assert code == EXIT_CONFIG
         assert text == ""
+
+    @pytest.mark.parametrize("gain", ["-1", "0"])
+    def test_map_gain_is_the_inverse_check(self, tmp_path, capsys, gain):
+        # the map inverts through try_invert_alignment, so the G it
+        # rejects and the message are the library's
+        code, text = run_cmd(tmp_path, "map", "--set", f"gain={gain}")
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert capsys.readouterr().err == \
+            "config error: gain must be positive and finite\n"
 
     @pytest.mark.parametrize("case", ["map sigma_steps", "charge seed"],
                              ids=lambda case: case.replace(" ", "-"))

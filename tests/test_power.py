@@ -140,8 +140,12 @@ class TestFullyDrivenFrequency:
             assert w == pytest.approx(w_ref, rel=1e-6)
 
     def test_zero_reference_rejected(self):
-        with pytest.raises(ZeroPowerReferenceError):
+        # one W* rule: the error and text of required_impedance's
+        with pytest.raises(ZeroPowerReferenceError) as got:
             fully_driven_frequency(0.5, 0.95, 0.0, TANK)
+        with pytest.raises(ZeroPowerReferenceError) as want:
+            required_impedance(8.0, 0.0, 1.0)
+        assert str(got.value) == str(want.value)
 
     def test_nan_reference_rejected(self):
         # NaN names W*, as required_impedance does, and is not taken for

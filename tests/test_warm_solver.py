@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-import dbsrc.charger
 from dbsrc import (ControlReferences, ScenarioConfig, UnreachablePowerError,
                    default_tank, run_scenario, solve_controls)
 from dbsrc import _kernels as k
@@ -198,14 +197,8 @@ def test_scan_root_short_of_the_request_is_unreachable():
     assert out[6] < (1.0 - k.W_REL_TOL) * w_ref
 
 
-PARALLEL_STEP = dbsrc.charger.parallel_step
 SOLVE_CONTROLS_SCAN = k.solve_controls_scan
 REGULATED_POINT = k.regulated_point
-
-
-def cold_parallel_step(*args, warm=None, **kwargs):
-    """parallel_step with the warm state dropped: every solve is cold."""
-    return PARALLEL_STEP(*args, **kwargs)
 
 
 SCENARIOS = [
@@ -222,25 +215,29 @@ SCENARIOS = [
 
 @pytest.mark.parametrize("cfg", SCENARIOS)
 def test_warm_scenario_equals_cold_scenario(cfg, monkeypatch):
+    cold = False
     fallbacks, warm_starts = [], []
 
     def scan(*args):
+        if cold:    # the warm state dropped: every solve is cold
+            args = args[:11] + (None,)
         out = SOLVE_CONTROLS_SCAN(*args)
         fallbacks.append(out[8])
         warm_starts.append(args[11] is not None)   # a warm state
         return out
 
     monkeypatch.setattr(k, "solve_controls_scan", scan)
-    warm = run_scenario(cfg)
+    warm_run = run_scenario(cfg)
     assert sum(fallbacks) == 0
     assert np.mean(warm_starts) > 0.9
     warm_starts.clear()
-    monkeypatch.setattr(dbsrc.charger, "parallel_step", cold_parallel_step)
-    cold = run_scenario(cfg)
+    cold = True
+    cold_run = run_scenario(cfg)
+    assert len(warm_starts) == cold_run.steps
     assert not any(warm_starts)     # the cold run really solves cold
-    assert np.mean(cold["s_add"] > 0) > 0.9
+    assert np.mean(cold_run["s_add"] > 0) > 0.9
     for name in TRACE_COLUMNS:
-        assert np.array_equal(warm[name], cold[name]), name
+        assert np.array_equal(warm_run[name], cold_run[name]), name
 
 
 @pytest.mark.parametrize("cfg", SCENARIOS)
