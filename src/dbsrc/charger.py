@@ -16,7 +16,8 @@ and the whole run is deterministic for a given config and seed.
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .control import PiController
 from .control import parallel_step  # noqa: F401
 from .errors import DbsrcError, DegenerateTankCurrentError
 from .inversion import ControlReferences
-from .model import SwitchingParams, TankConfig, _checked_impedance
+from .model import (SwitchingParams, TankConfig, _check_finite,
+                    _checked_impedance, _params_in_range)
 from .power import _checked_solve
 
 
@@ -93,13 +95,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # an infinite or NaN number would overflow the step count, give
-        # no steps or fail mid-run without the partial trace; an integer
-        # is finite (and may be too large for math.isfinite)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (f.name == "tank" or isinstance(value, numbers.Integral)
-                    or math.isfinite(value)):
-                raise ValueError(f"{f.name} must be finite")
+        # no steps or fail mid-run without the partial trace; the tank
+        # checks its own fields
+        _check_finite(self, skip=("tank",))
         if not (self.v_in > 0 and self.i_cc > 0 and self.v_cv > 0):
             raise ValueError("v_in, i_cc, v_cv must be positive")
         if not (self.dt > 0 and self.duration > 0 and self.time_scale > 0):
@@ -246,12 +244,18 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
 
     Each step does the work of parallel_step, plant_step and
     battery_step on plain floats, without a record per step: the
-    four PiController steps, one _kernels.solve_controls_scan through
-    solve_controls' checks, whose warm state goes to the next step's
-    solve (see solve_controls), and forward_point and w_from_amplitude
-    through plant_step's checks.  tests/test_scenario_oracle.py checks
-    it against those calls, bit for bit.  The kernels are looked up in
-    _kernels when the run starts.
+    four PiController steps, one _kernels.solve_controls_scan, whose
+    warm state goes to the next step's solve (see solve_controls), and
+    the plant's tank_impedance, forward_point and w_from_amplitude.
+    The checks of solve_controls and plant_step are plain comparisons
+    on that path, each passing only where its checked function would;
+    the ranges of d, s, beta and omega are model._params_in_range, the
+    test that SwitchingParams enforces.  When one fails, the step calls power._checked_solve (on the step's
+    inputs and the warm state it received) or model._checked_impedance,
+    so every error comes from its one definition.
+    tests/test_scenario_oracle.py checks the loop against those calls,
+    bit for bit, failures included.  The kernels, the PI steps,
+    pack_voltage and battery_step are looked up when the run starts.
 
     Raises:
         ScenarioAbort: when the controller signals unreachable power or
@@ -294,16 +298,23 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     ind, cap, ratio, omega_max = (tank.inductance, tank.capacitance,
                                   tank.turns_ratio, tank.omega_max)
     ind_plant, beta_offset = ind * cfg.l_scale, cfg.beta_offset
+    # bound once; perfbench's tracer and the tests patch these names
+    # before a run starts, so they still see every call
+    scan, impedance = k.solve_controls_scan, k.tank_impedance
     forward_point, w_from_amplitude = k.forward_point, k.w_from_amplitude
+    volt_step, sigma_step, delta_step, w_step = (
+        pi_volt.step, pi_sigma.step, pi_delta.step, pi_w.step)
+    pack, coulomb = pack_voltage, battery_step
+    lowpower, in_range = k.OK_LOWPOWER, _params_in_range
     i_ref = 0.0
     slew = cfg.i_ref_slew * dt
     for step in range(n_steps):
-        v_bat = pack_voltage(charge, cfg)
+        v_bat = pack(charge, cfg)
         gain = ratio * v_bat / v_in
 
         # outer CC/CV stage: voltage PI saturated at the CC setpoint,
         # slew-limited on the way up (soft start)
-        i_cmd = pi_volt.step(v_cv - v_bat)
+        i_cmd = volt_step(v_cv - v_bat)
         di = i_cmd - i_ref
         if di < -slew:
             di = -slew
@@ -315,17 +326,33 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
         try:
             # parallel_step: the angle PIs' actions go onto q and beta,
             # the W PI trims the power request
-            sigma_reg = pi_sigma.step(sigma_ref - lag_sigma)
-            delta_reg = pi_delta.step(delta_ref - lag_delta)
-            w_eff = w_ref + pi_w.step(w_ref - lag_w)
+            sigma_reg = sigma_step(sigma_ref - lag_sigma)
+            delta_reg = delta_step(delta_ref - lag_delta)
+            w_eff = w_ref + w_step(w_ref - lag_w)
             if w_eff < 0.0:
                 w_eff = 0.0
-            params, s_add, _low, warm = _checked_solve(
-                sigma_ref, delta_ref, 0.0, gain, w_eff, sigma_reg,
-                delta_reg, ind, cap, ratio, omega_max, warm)
-            d, s, beta, omega = params
-            # plant_step: the model at beta + beta_offset and L * l_scale
-            z = _checked_impedance(omega, gain, ind_plant, cap)
+            # _checked_solve's checks as comparisons, each passing only
+            # where the check would; when one fails, _checked_solve runs
+            # on the same inputs and warm state and raises its error
+            solved = False
+            if 0.0 <= w_eff < inf and 0.0 <= gain < inf:
+                d, s, beta, omega, s_add, _h, _w, status, _fb, _n, \
+                    warm_out = scan(sigma_ref, delta_ref, 0.0, gain, w_eff,
+                                    sigma_reg, delta_reg, ind, cap, ratio,
+                                    omega_max, warm)
+                solved = (status <= lowpower
+                          and in_range(d, s, beta, omega))
+            if solved:
+                warm = warm_out
+            else:
+                (d, s, beta, omega), s_add, _low, warm = _checked_solve(
+                    sigma_ref, delta_ref, 0.0, gain, w_eff, sigma_reg,
+                    delta_reg, ind, cap, ratio, omega_max, warm)
+            # plant_step: the model at beta + beta_offset and L * l_scale,
+            # through _checked_impedance only when Z is not positive
+            z = impedance(omega, ind_plant, cap)
+            if not z > 0:
+                z = _checked_impedance(omega, gain, ind_plant, cap)
             amp, sigma_true, delta_true, degenerate = forward_point(
                 d, s, beta + beta_offset, gain)
             if degenerate:
@@ -354,10 +381,11 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
             lag_sigma += alpha * (sigma_m - lag_sigma)
             lag_delta += alpha * (delta_m - lag_delta)
 
-        charge = battery_step(charge, i_out, cfg)
+        charge = coulomb(charge, i_out, cfg)
 
         col_i_ref[step], col_v_bat[step] = i_ref, v_bat
-        col_d[step], col_s[step], col_beta[step], col_omega[step] = params
+        col_d[step], col_s[step], col_beta[step], col_omega[step] = \
+            d, s, beta, omega
         col_sigma[step], col_s_add[step], col_w[step] = \
             sigma_true, s_add, w_true
     trace.steps = n_steps

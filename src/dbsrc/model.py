@@ -12,12 +12,24 @@ radians; no wrapping is performed, callers supply beta in [-pi, pi].
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from math import inf
 from typing import NamedTuple, Optional, Tuple
 
 from . import _kernels as k
 from .errors import BelowResonanceError, DegenerateTankCurrentError
+
+
+def _check_finite(config, skip=()):
+    """Raise ValueError naming the first field of the dataclass config,
+    outside skip, that holds an infinite or NaN number.  An integer is
+    finite (and may be too large for math.isfinite)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not (f.name in skip or isinstance(value, numbers.Integral)
+                or math.isfinite(value)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,9 @@ class TankConfig:
             raise ValueError("turns ratio must be positive")
         if not self.omega_max > self.omega_resonant:
             raise ValueError("omega_max must exceed the resonant frequency")
+        # +inf passes the tests above, and a run then fails mid-loop
+        # (L, n) or runs on a meaningless tank (C, omega_max)
+        _check_finite(self)
 
     @property
     def omega_resonant(self) -> float:
@@ -65,19 +80,29 @@ _BETA_MIN = -math.pi - k.RANGE_TOL
 _tuple_new = tuple.__new__
 
 
+def _params_in_range(d: float, s: float, beta: float, omega: float) -> bool:
+    """Whether d, s lie in [0, pi], beta in [-pi, pi] (each up to
+    RANGE_TOL) and omega > 0: the one statement of SwitchingParams'
+    ranges, which _checked_params enforces and the charger loop tests."""
+    return (_ANGLE_MIN <= d <= _ANGLE_MAX and _ANGLE_MIN <= s <= _ANGLE_MAX
+            and _BETA_MIN <= beta <= _ANGLE_MAX and omega > 0)
+
+
 def _checked_params(cls, d: float, s: float, beta: float,
                     omega: Optional[float] = None):
     """The range checks of SwitchingParams, then the record of class cls
     built by tuple.__new__.  This is SwitchingParams.__new__ itself;
     the power solve calls it directly with cls = tuple, without the cost
-    of a class call or a record, since it runs once per control step."""
-    if not _ANGLE_MIN <= d <= _ANGLE_MAX:
-        raise ValueError(f"d out of [0, pi]: {d}")
-    if not _ANGLE_MIN <= s <= _ANGLE_MAX:
-        raise ValueError(f"s out of [0, pi]: {s}")
-    if not _BETA_MIN <= beta <= _ANGLE_MAX:
-        raise ValueError(f"beta out of [-pi, pi]: {beta}")
-    if omega is not None and not omega > 0:
+    of a class call or a record."""
+    if not _params_in_range(d, s, beta, 1.0 if omega is None else omega):
+        # name the first field out of range, testing each with the
+        # others at in-range values
+        if not _params_in_range(d, 0.0, 0.0, 1.0):
+            raise ValueError(f"d out of [0, pi]: {d}")
+        if not _params_in_range(0.0, s, 0.0, 1.0):
+            raise ValueError(f"s out of [0, pi]: {s}")
+        if not _params_in_range(0.0, 0.0, beta, 1.0):
+            raise ValueError(f"beta out of [-pi, pi]: {beta}")
         raise ValueError("omega must be positive")
     return _tuple_new(cls, (d, s, beta, omega))
 

@@ -193,8 +193,8 @@ def _checked_solve(sigma_ref: float, delta_ref: float, s_add: float,
     up per call), the scan's status mapped to its errors and the range
     checks of SwitchingParams.  Returns the fields of the PowerSolution,
     (params, s_add, low_power, warm), with params a plain (d, s, beta,
-    omega) tuple: the charger loop calls it once per control step and
-    builds no record.
+    omega) tuple.  The charger loop makes these checks as comparisons
+    and calls this only when one fails, to raise the error defined here.
     """
     _checked_w_ref(w_ref, True)
     if not 0.0 <= gain < inf:

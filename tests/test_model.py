@@ -153,6 +153,23 @@ class TestTankConfig:
         with pytest.raises(ValueError):
             TankConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, message", [
+        ("inductance", "L and C must be positive"),
+        ("capacitance", "L and C must be positive"),
+        ("turns_ratio", "turns ratio must be positive"),
+        ("omega_max", "omega_max must exceed the resonant frequency"),
+    ])
+    def test_infinity_rejected(self, field, message):
+        # +inf passed the positivity tests and failed or ran on in the
+        # charger loop; values <= 0 keep their messages
+        kwargs = dict(inductance=80e-6, capacitance=47e-9, turns_ratio=1.0,
+                      omega_max=2 * math.pi * 165e3)
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            TankConfig(**dict(kwargs, **{field: math.inf}))
+        for value in (-math.inf, 0.0):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                TankConfig(**dict(kwargs, **{field: value}))
+
 
 class TestTankImpedance:
     def test_zero_at_resonance(self):

@@ -9,11 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dbsrc import (ControlReferences, DbsrcError, PiController,
-                   ScenarioAbort, ScenarioConfig, battery_step,
-                   pack_voltage, parallel_step, plant_step, run_scenario)
+import dbsrc.charger
+from dbsrc import (ControlReferences, DbsrcError, InfeasibleReferenceError,
+                   PiController, ScenarioAbort, ScenarioConfig,
+                   UnreachablePowerError, battery_step, pack_voltage,
+                   parallel_step, plant_step, run_scenario)
+from dbsrc import _kernels as k
 from dbsrc.charger import (ANGLE_CORR_LIMIT, NOISE_BLOCK, STORED_COLUMNS,
                            W_CORR_LIMIT, Trace)
+from dbsrc.model import _ANGLE_MAX, _ANGLE_MIN, _BETA_MIN
 
 
 def layered_run_scenario(cfg: ScenarioConfig) -> Trace:
@@ -131,3 +135,115 @@ def test_aborts_where_the_layered_loop_aborts():
     assert str(got.value) == str(want.value)
     assert type(got.value.__cause__) is type(want.value.__cause__)
     assert_same_trace(got.value.trace, want.value.trace)
+
+
+def assert_same_failure(cfg):
+    """run_scenario fails as the layered loop does: the same exception
+    type and message, and for an abort the same step, partial trace and
+    type of cause.  Returns run_scenario's exception."""
+    with pytest.raises(Exception) as got:
+        run_scenario(cfg)
+    with pytest.raises(Exception) as want:
+        layered_run_scenario(cfg)
+    got, want = got.value, want.value
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    if isinstance(want, ScenarioAbort):
+        assert got.step == want.step
+        assert type(got.__cause__) is type(want.__cause__)
+        assert_same_trace(got.trace, want.trace)
+    return got
+
+
+def test_infinite_gain_fails_as_the_layered_loop_fails():
+    # G = n V_bat / V_in overflows to +inf at the first step
+    got = assert_same_failure(replace(SHORT, v_empty=1e308, v_full=1e308))
+    assert type(got) is ValueError
+    assert str(got) == "gain must be non-negative and finite"
+
+
+def test_nan_power_request_fails_as_the_layered_loop_fails(monkeypatch):
+    # a NaN plant W reaches the W PI through the lag, and W* is NaN at
+    # the next step
+    monkeypatch.setattr(k, "w_from_amplitude", lambda *args: math.nan)
+    got = assert_same_failure(SHORT)
+    assert type(got) is ValueError
+    assert str(got) == "W* must be finite and non-negative, not nan"
+
+
+def _status(status):
+    return lambda out: out[:7] + (status,) + out[8:]
+
+
+# G of SHORT's trace rises from 0.75 at step 0 (low-power solves until
+# step 361) to 0.7551; G > 0.75 fails a warm low-power solve, G > 0.751
+# an analytic one near step 1500
+@pytest.mark.parametrize("threshold", [0.75, 0.751],
+                         ids=["lowpower", "analytic"])
+@pytest.mark.parametrize("spoil, error", [
+    (_status(k.INFEASIBLE), InfeasibleReferenceError),
+    (_status(k.UNREACHABLE), UnreachablePowerError),
+    (lambda out: (math.nan,) + out[1:], ValueError),
+    (lambda out: out[:3] + (0.0,) + out[4:], ValueError),
+], ids=["infeasible", "unreachable", "d_nan", "omega_zero"])
+def test_spoilt_solve_fails_as_the_layered_loop_fails(monkeypatch, spoil,
+                                                      error, threshold):
+    """A scan result that a check rejects, injected for every solve past
+    a gain (the failing step's solve runs twice, the second time through
+    the checked call), aborts or raises as the layered loop does."""
+    scan = k.solve_controls_scan
+
+    def spoilt(*args):
+        out = scan(*args)
+        return spoil(out) if args[3] > threshold else out
+
+    monkeypatch.setattr(k, "solve_controls_scan", spoilt)
+    got = assert_same_failure(SHORT)
+    if error is ValueError:
+        assert type(got) is ValueError
+    else:
+        assert type(got) is ScenarioAbort
+        assert type(got.__cause__) is error
+        assert got.step > 0
+
+
+def _set(index, value):
+    return lambda out: out[:index] + (value,) + out[index + 1:]
+
+
+@pytest.mark.parametrize("index, bound, outward", [
+    (0, _ANGLE_MAX, math.inf),
+    (1, _ANGLE_MIN, -math.inf),
+    (2, _BETA_MIN, -math.inf),
+    (2, _ANGLE_MAX, math.inf),
+], ids=["d_max", "s_min", "beta_min", "beta_max"])
+def test_switching_ranges_bound_the_loop_as_they_bound_the_checks(
+        monkeypatch, index, bound, outward):
+    """d, s or beta put on a bound of SwitchingParams' ranges at every
+    analytic solve passes as in the layered loop, and one float past it
+    fails as there."""
+    scan = k.solve_controls_scan
+    for value in (bound, math.nextafter(bound, outward)):
+        def spoilt(*args):
+            out = scan(*args)
+            return _set(index, value)(out) if args[3] > 0.751 else out
+
+        monkeypatch.setattr(k, "solve_controls_scan", spoilt)
+        if value == bound:
+            assert_same_trace(run_scenario(SHORT),
+                              layered_run_scenario(SHORT))
+        else:
+            got = assert_same_failure(SHORT)
+            assert type(got) is ValueError
+            assert "out of" in str(got)
+
+
+def test_a_run_without_failures_makes_no_checked_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a checked call on the success path")
+
+    monkeypatch.setattr(dbsrc.charger, "_checked_solve", refuse)
+    monkeypatch.setattr(dbsrc.charger, "_checked_impedance", refuse)
+    trace = run_scenario(SHORT)
+    assert trace.steps == int(round(SHORT.duration / SHORT.dt))
+    assert 0.0 < np.mean(trace["s_add"] > 0) < 1.0   # both kinds of solve
