@@ -107,6 +107,11 @@ class ScenarioConfig:
         # v_empty >= 0 keeps G = n V_bat / V_in >= 0 throughout the run
         if not self.v_full >= self.v_empty >= 0:
             raise ValueError("need 0 <= v_empty <= v_full")
+        # the largest G = n V_bat / V_in, as the loop computes it: an
+        # infinite one would stop the run at its first step with no trace
+        if not self.tank.turns_ratio * self.v_full / self.v_in < inf:
+            raise ValueError("the largest gain n * v_full / v_in must be "
+                             "finite")
         if not self.i_ref_slew > 0:
             raise ValueError("i_ref_slew must be positive")
         if not self.sensor_tau >= 0:

@@ -10,7 +10,8 @@ Configuration is a flat key = value text file (# comments allowed);
 settings to (header, rows, exit code); main alone reads and types the
 settings, checks that the output's directory exists, that the output is
 not a directory and that the file (or, for a new one, its directory) is
-writable, runs the command and writes the CSV.  Exit codes: 0 success,
+writable, runs the command and writes the CSV, a large one formatted
+by one process per CPU (see write_csv).  Exit codes: 0 success,
 2 config error (a ConfigError, or a library ValueError or
 InfeasibleReferenceError) or unwritable output, 3 runtime abort (partial
 trace still written).
@@ -45,6 +46,12 @@ class ConfigError(Exception):
 
 
 CSV_BLOCK = 512  # rows formatted and written per write call
+# fewest blocks per process for which write_csv forks.  A block of
+# trace rows takes about 3 ms to format, a fork of the CLI about 2 ms;
+# at 16 the grid commands (at most 4 blocks by default) and a 50-step
+# run stay serial
+CSV_FORK_BLOCKS = 16
+CSV_COPY_BYTES = 1 << 16  # most bytes read from a child's pipe at once
 
 
 def write_csv(path: str | None, header: Sequence[str],
@@ -59,19 +66,117 @@ def write_csv(path: str | None, header: Sequence[str],
     comments="")'s, but each block formats each distinct value once.
     %.17g depends only on a float's bits, and keying on the bits keeps
     -0.0 apart from 0.0 and NaN payloads apart.
+
+    A table of 2 * CSV_FORK_BLOCKS blocks or more is formatted on every
+    CPU this process may run on, by at most one process per
+    CSV_FORK_BLOCKS blocks: each formats one contiguous share of whole
+    blocks, this process the first and forked children the others (see
+    _write_shares), and the bytes are the same.  A smaller table, one
+    CPU or a platform without os.fork is formatted here alone.  On 2
+    CPUs the 118 MB of a default charge are written in about 2.5 s
+    instead of 3.7-4.9 s.
     """
     with (contextlib.nullcontext(sys.stdout) if path is None or path == "-"
           else open(path, "w")) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), CSV_BLOCK):
-            block = np.asarray(rows[start:start + CSV_BLOCK],
-                               dtype=np.float64)
-            bits, inverse = np.unique(block.view(np.int64),
-                                      return_inverse=True)
-            distinct = np.array(["%.17g" % v for v in
-                                 bits.view(np.float64).tolist()], dtype=object)
-            cells = distinct[inverse.reshape(block.shape)].tolist()
-            fh.write("\n".join(map(",".join, cells)) + "\n")
+        n_rows = len(rows)
+        blocks = -(-n_rows // CSV_BLOCK)
+        procs = max(1, min(_cpus(), blocks // CSV_FORK_BLOCKS)) \
+            if hasattr(os, "fork") else 1
+        _write_shares(fh, rows, [min(n_rows, blocks * i // procs * CSV_BLOCK)
+                                 for i in range(procs + 1)])
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (what nproc prints)."""
+    return len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else 1
+
+
+def _csv_blocks(rows, start: int, stop: int):
+    """The CSV lines of rows[start:stop], one string per block of
+    CSV_BLOCK rows counted from start."""
+    for begin in range(start, stop, CSV_BLOCK):
+        block = np.asarray(rows[begin:min(begin + CSV_BLOCK, stop)],
+                           dtype=np.float64)
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        distinct = np.array(["%.17g" % v for v in
+                             bits.view(np.float64).tolist()], dtype=object)
+        cells = distinct[inverse.reshape(block.shape)].tolist()
+        yield "\n".join(map(",".join, cells)) + "\n"
+
+
+def _write_shares(fh, rows, bounds: list[int]) -> None:
+    """Write rows[bounds[0]:bounds[-1]] to fh: this process formats the
+    first share, rows[bounds[0]:bounds[1]], and a forked child each
+    later share rows[bounds[i]:bounds[i + 1]].
+
+    Each child formats its whole share, writes it to its own pipe and
+    ends with os._exit, so it never returns into the caller's stack
+    (no finally block or atexit hook runs twice, and no inherited
+    buffer is flushed) and never touches fh.  Meanwhile this process
+    formats the first share into fh, block by block, then copies each
+    child's pipe into fh in order, CSV_COPY_BYTES at a time, so it
+    holds no share's text.  Every child is reaped before this returns
+    or raises; on an error here the children are killed first, and a
+    child that fails raises OSError, so the CSV is never silently cut
+    short.
+    """
+    children = []   # (pid, read end of its pipe), in the order of shares
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _format_share(rows, start, stop, write_end,
+                              [read_end] + [r for _pid, r in children])
+            os.close(write_end)
+            children.append((pid, read_end))
+        for text in _csv_blocks(rows, bounds[0], bounds[1]):
+            fh.write(text)
+        # one buffer for every read: a new bytes object per os.read
+        # fragmented the heap, and a later 12 MB np.loadtxt peaked 8 MB
+        # higher for it
+        chunk = memoryview(bytearray(CSV_COPY_BYTES))
+        for _pid, read_end in children:
+            while size := os.readv(read_end, [chunk]):
+                fh.write(str(chunk[:size], "ascii"))
+    except BaseException:
+        import signal
+        for pid, _read_end in children:   # their text is no longer wanted
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for pid, read_end in children:
+            os.close(read_end)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for code in codes:
+        if code:
+            raise OSError(f"a forked CSV writer exited with status {code}")
+
+
+def _format_share(rows, start: int, stop: int, out_fd: int,
+                  inherited: list[int]):
+    """In a forked child: write the CSV text of rows[start:stop] to
+    out_fd, then end the process, with status 0 only on success."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        # the whole share first: the parent reads this pipe only once it
+        # has formatted its own share
+        share = [text.encode() for text in _csv_blocks(rows, start, stop)]
+        with open(out_fd, "wb") as out:
+            out.writelines(share)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _collect(args) -> Dict[str, str]:

@@ -205,6 +205,16 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=name):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("overrides", [
+        dict(v_empty=1e308, v_full=1e308), dict(v_in=1e-307),
+        dict(tank=replace(default_tank(), turns_ratio=1e306))],
+        ids=["v_full", "v_in", "turns_ratio"])
+    def test_infinite_largest_gain_rejected(self, overrides):
+        # G = n V_bat / V_in would reach +inf in the run, which stops at
+        # its first step without a partial trace
+        with pytest.raises(ValueError, match="largest gain"):
+            ScenarioConfig(**overrides)
+
     @pytest.mark.parametrize("name, value", [
         ("v_in", 0.0), ("i_cc", -1.0), ("v_cv", 0.0), ("dt", 0.0),
         ("duration", -1.0), ("time_scale", 0.0), ("capacity_ah", 0.0),

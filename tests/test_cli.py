@@ -1,6 +1,7 @@
 """Command-line interface tests: CSV contracts, config handling, exit
 codes."""
 
+import errno
 import io
 import math
 import os
@@ -542,41 +543,185 @@ SPECIAL_VALUES = [0.0, -0.0, math.nan, -math.nan,
                   1.0, 1e16, 0.1]
 
 
+# the tables of the byte-for-byte property: n_cols columns drawn from a
+# palette and the special values, in one of the forms callers pass
+TABLES = dict(n_cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+              palette=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                         allow_subnormal=True),
+                               min_size=1, max_size=6),
+              form=st.sampled_from(["array", "strided", "tuples"]))
+TABLE_SETTINGS = settings(
+    max_examples=15, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_bytes_equal_savetxt(tmp_path, n_rows, n_cols, seed, palette, form):
+    rng = np.random.default_rng(seed)
+    pool = np.array(palette + SPECIAL_VALUES)
+    # runs of repeats from the pool, and random bit patterns (NaN
+    # payloads and subnormals among them) between the runs
+    runs = rng.integers(1, 50, size=4 * n_rows * n_cols + 1)
+    picks = np.repeat(rng.integers(0, len(pool), size=runs.size), runs)
+    table = pool[picks[:4 * n_rows * n_cols]].reshape(2 * n_rows, 2 * n_cols)
+    noise = rng.random(table.shape) < 0.3
+    table[noise] = rng.integers(-2**63, 2**63 - 1, size=noise.sum(),
+                                dtype=np.int64).view(np.float64)
+    if form == "array":
+        rows = table[:n_rows, :n_cols]
+    elif form == "strided":
+        rows = table[::2, ::2]
+    else:
+        # as map and trajectory pass them: floats, then an int flag
+        rows = [tuple(row[:-1]) + (int(row[-1] > 0),)
+                for row in table[:n_rows, :n_cols].tolist()]
+    header = [f"c{j}" for j in range(n_cols)]
+    out = tmp_path / "out.csv"
+    write_csv(str(out), header, rows)
+    assert out.read_bytes() == savetxt_bytes(rows, header)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """fork(procs) makes write_csv split a table of two blocks or more
+    over procs processes; it returns the list of os.fork results in
+    this process since that call, one per child."""
+    real_fork = os.fork
+    pids = []
+
+    def counted_fork():
+        pid = real_fork()
+        pids.append(pid)
+        return pid
+
+    def fork(procs):
+        pids.clear()
+        monkeypatch.setattr(dbsrc.cli, "CSV_FORK_BLOCKS", 1)
+        monkeypatch.setattr(dbsrc.cli, "_cpus", lambda: procs)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+    return fork
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWriteCsv:
-    @settings(max_examples=15, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(n_cols=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
-           palette=st.lists(st.floats(allow_nan=True, allow_infinity=True,
-                                      allow_subnormal=True),
-                            min_size=1, max_size=6),
-           form=st.sampled_from(["array", "strided", "tuples"]))
+    @TABLE_SETTINGS
+    @given(**TABLES)
     @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK - 1, CSV_BLOCK,
                                         CSV_BLOCK + 1, 3 * CSV_BLOCK + 7])
     def test_bytes_equal_savetxt_property(self, tmp_path, n_rows, n_cols,
                                           seed, palette, form):
-        rng = np.random.default_rng(seed)
-        pool = np.array(palette + SPECIAL_VALUES)
-        # runs of repeats from the pool, and random bit patterns (NaN
-        # payloads and subnormals among them) between the runs
-        runs = rng.integers(1, 50, size=4 * n_rows * n_cols + 1)
-        picks = np.repeat(rng.integers(0, len(pool), size=runs.size), runs)
-        table = pool[picks[:4 * n_rows * n_cols]].reshape(2 * n_rows,
-                                                          2 * n_cols)
-        noise = rng.random(table.shape) < 0.3
-        table[noise] = rng.integers(-2**63, 2**63 - 1, size=noise.sum(),
-                                    dtype=np.int64).view(np.float64)
-        if form == "array":
-            rows = table[:n_rows, :n_cols]
-        elif form == "strided":
-            rows = table[::2, ::2]
-        else:
-            # as map and trajectory pass them: floats, then an int flag
-            rows = [tuple(row[:-1]) + (int(row[-1] > 0),)
-                    for row in table[:n_rows, :n_cols].tolist()]
-        header = [f"c{j}" for j in range(n_cols)]
+        assert_bytes_equal_savetxt(tmp_path, n_rows, n_cols, seed, palette,
+                                   form)
+
+    @TABLE_SETTINGS
+    @given(**TABLES)
+    @pytest.mark.parametrize("n_rows", [CSV_BLOCK + 1, 2 * CSV_BLOCK,
+                                        3 * CSV_BLOCK + 7, 4 * CSV_BLOCK])
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_forked_bytes_equal_savetxt_property(
+            self, tmp_path, forked, procs, n_rows, n_cols, seed, palette,
+            form):
+        # the last share ends on a block's edge or off it; at 2 blocks
+        # over 3 processes one process fewer is forked
+        pids = forked(procs)
+        assert_bytes_equal_savetxt(tmp_path, n_rows, n_cols, seed, palette,
+                                   form)
+        blocks = -(-n_rows // CSV_BLOCK)
+        assert len(pids) == min(procs, blocks) - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_forked_decimated_trace_rows(self, tmp_path, forked, procs):
+        trace = run_scenario(ScenarioConfig(duration=0.5))
+        rows = TraceRows(trace, 3)   # 1667 rows: 3 blocks and 131 rows
+        pids = forked(procs)
         out = tmp_path / "out.csv"
-        write_csv(str(out), header, rows)
-        assert out.read_bytes() == savetxt_bytes(rows, header)
+        write_csv(str(out), TRACE_COLUMNS, rows)
+        assert len(pids) == procs - 1
+        assert out.read_bytes() == savetxt_bytes(
+            trace.column_stack()[::3], TRACE_COLUMNS)
+
+    def test_forked_stdout_gets_the_serial_bytes(self, tmp_path, capsys,
+                                                 forked):
+        args = charge_args(duration=0.2)   # 2000 rows, 4 blocks: serial
+        out = tmp_path / "out.csv"
+        assert main(args + ["--out", str(out)]) == EXIT_OK
+        pids = forked(3)
+        capsys.readouterr()
+        assert main(args + ["--out", "-"]) == EXIT_OK
+        assert len(pids) == 2
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_small_tables_never_fork(self, tmp_path, forked, monkeypatch,
+                                     n_rows):
+        forked(3)
+
+        def no_fork():
+            raise AssertionError("os.fork was called")
+        monkeypatch.setattr(os, "fork", no_fork)
+        rows = np.ones((n_rows, 2))
+        write_csv(str(tmp_path / "out.csv"), ["a", "b"], rows)
+        assert (tmp_path / "out.csv").read_bytes() == \
+            savetxt_bytes(rows, ["a", "b"])
+
+    @pytest.mark.parametrize("args", [
+        ["map"], ["trajectory"], ["lowpower"], charge_args(duration=0.005)],
+        ids=["map", "trajectory", "lowpower", "charge-50-steps"])
+    def test_default_commands_and_warm_up_stay_serial(self, tmp_path,
+                                                      monkeypatch, args):
+        def no_fork():
+            raise AssertionError("os.fork was called")
+        monkeypatch.setattr(dbsrc.cli, "_cpus", lambda: 64)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(args + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("case", ["success", "child-raises",
+                                      "parent-write-raises"])
+    def test_every_child_is_reaped(self, tmp_path, capsys, forked,
+                                   monkeypatch, case):
+        # 2000 rows over three processes: shares of 1, 1 and 2 blocks
+        args = charge_args(duration=0.2)
+        out = tmp_path / "out.csv"
+        want_err = ""
+        if case == "child-raises":
+            class SpoiltRows(TraceRows):
+                def __getitem__(self, rows):
+                    if rows.start >= CSV_BLOCK:   # a child's share
+                        raise RuntimeError("injected")
+                    return super().__getitem__(rows)
+            monkeypatch.setattr(dbsrc.cli, "TraceRows", SpoiltRows)
+            want_err = (f"error: cannot write {out}: a forked CSV writer "
+                        "exited with status 1\n")
+        elif case == "parent-write-raises":
+            class FullDisk(io.StringIO):
+                def write(self, text):   # the header, then no more
+                    if self.tell():
+                        raise OSError(errno.ENOSPC,
+                                      os.strerror(errno.ENOSPC))
+                    return super().write(text)
+            monkeypatch.setattr(sys, "stdout", FullDisk())
+            out = "-"
+            want_err = "error: cannot write -: No space left on device\n"
+        pids = forked(3)
+        finally_log = tmp_path / "finally.log"
+        try:
+            code = main(args + ["--out", str(out)])
+        finally:
+            # a child that unwound into the caller's stack would log too
+            with open(finally_log, "a") as log:
+                log.write(f"{os.getpid()}\n")
+        assert finally_log.read_text() == f"{os.getpid()}\n"
+        assert len(pids) == 2
+        assert_no_child_left()
+        assert code == (EXIT_OK if case == "success" else EXIT_CONFIG)
+        assert capsys.readouterr().err == want_err
+        if case == "success":
+            assert out.read_text().count("\n") == 2001
 
     @pytest.mark.parametrize("args", [
         ["map", "--set", "sigma_steps=3", "--set", "delta_steps=4"],
@@ -588,3 +733,14 @@ class TestWriteCsv:
             capsys.readouterr()
             assert main(args + to_stdout) == EXIT_OK
             assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_import_loads_no_process_pool():
+    # every workload's set-up imports dbsrc and dbsrc.cli; a pool module
+    # among those imports would add its own import time to each
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dbsrc, dbsrc.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -155,9 +155,17 @@ def assert_same_failure(cfg):
     return got
 
 
-def test_infinite_gain_fails_as_the_layered_loop_fails():
-    # G = n V_bat / V_in overflows to +inf at the first step
-    got = assert_same_failure(replace(SHORT, v_empty=1e308, v_full=1e308))
+def test_infinite_gain_fails_as_the_layered_loop_fails(monkeypatch):
+    # ScenarioConfig rejects a config whose G can overflow ...
+    with pytest.raises(ValueError, match="largest gain"):
+        replace(SHORT, v_empty=1e308, v_full=1e308)
+    # ... so the loops' shared G check is reached through a pack voltage
+    # that makes G = n V_bat / V_in overflow to +inf at the first step
+    def overflow(charge_ah, cfg):
+        return 1e308
+    monkeypatch.setattr(dbsrc.charger, "pack_voltage", overflow)
+    monkeypatch.setitem(globals(), "pack_voltage", overflow)
+    got = assert_same_failure(SHORT)
     assert type(got) is ValueError
     assert str(got) == "gain must be non-negative and finite"
 
