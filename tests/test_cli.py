@@ -5,6 +5,7 @@ import errno
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -680,8 +681,19 @@ class TestWriteCsv:
         monkeypatch.setattr(os, "fork", no_fork)
         assert main(args + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
 
+    @staticmethod
+    def spoil_children(monkeypatch, fail):
+        """Make cmd_charge's rows call fail() in place of a block of a
+        child's share (every block after the first)."""
+        class SpoiltRows(TraceRows):
+            def __getitem__(self, rows):
+                if rows.start >= CSV_BLOCK:
+                    fail()
+                return super().__getitem__(rows)
+        monkeypatch.setattr(dbsrc.cli, "TraceRows", SpoiltRows)
+
     @pytest.mark.parametrize("case", ["success", "child-raises",
-                                      "parent-write-raises"])
+                                      "child-killed", "parent-write-raises"])
     def test_every_child_is_reaped(self, tmp_path, capsys, forked,
                                    monkeypatch, case):
         # 2000 rows over three processes: shares of 1, 1 and 2 blocks
@@ -689,14 +701,15 @@ class TestWriteCsv:
         out = tmp_path / "out.csv"
         want_err = ""
         if case == "child-raises":
-            class SpoiltRows(TraceRows):
-                def __getitem__(self, rows):
-                    if rows.start >= CSV_BLOCK:   # a child's share
-                        raise RuntimeError("injected")
-                    return super().__getitem__(rows)
-            monkeypatch.setattr(dbsrc.cli, "TraceRows", SpoiltRows)
+            def full_disk():
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.spoil_children(monkeypatch, full_disk)
+            want_err = f"error: cannot write {out}: No space left on device\n"
+        elif case == "child-killed":
+            self.spoil_children(
+                monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
             want_err = (f"error: cannot write {out}: a forked CSV writer "
-                        "exited with status 1\n")
+                        "was killed by signal 9\n")
         elif case == "parent-write-raises":
             class FullDisk(io.StringIO):
                 def write(self, text):   # the header, then no more
@@ -722,6 +735,35 @@ class TestWriteCsv:
         assert capsys.readouterr().err == want_err
         if case == "success":
             assert out.read_text().count("\n") == 2001
+
+    @pytest.mark.parametrize("error", [
+        OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+        ValueError("injected"), RuntimeError("injected")],
+        ids=["OSError", "ValueError", "RuntimeError"])
+    def test_a_childs_exception_surfaces_as_in_one_process(
+            self, tmp_path, capsys, forked, monkeypatch, error):
+        def fail():
+            raise error
+        self.spoil_children(monkeypatch, fail)
+        args = charge_args(duration=0.2) + ["--out", str(tmp_path / "o")]
+        outcomes = []
+        for procs in (1, 3):
+            pids = forked(procs)
+            try:
+                outcome = main(args)
+            except Exception as exc:   # as the interpreter would show it
+                outcome = (repr(exc), getattr(exc, "__notes__", None))
+            outcomes.append((outcome, capsys.readouterr().err))
+            assert len(pids) == procs - 1
+            assert_no_child_left()
+        serial, forked_ = outcomes
+        if isinstance(error, RuntimeError):
+            # a program error keeps its traceback from the child
+            (err, notes), stderr = forked_
+            assert notes[0].startswith("raised in a forked CSV writer:\n")
+            assert "in fail" in notes[0]
+            forked_ = (err, None), stderr
+        assert forked_ == serial
 
     @pytest.mark.parametrize("args", [
         ["map", "--set", "sigma_steps=3", "--set", "delta_steps=4"],
