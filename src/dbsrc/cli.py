@@ -68,14 +68,14 @@ def write_csv(path: str | None, header: Sequence[str],
     -0.0 apart from 0.0 and NaN payloads apart.
 
     A table of 2 * CSV_FORK_BLOCKS blocks or more is formatted on every
-    CPU this process may run on, by at most one process per
-    CSV_FORK_BLOCKS blocks: each formats one contiguous share of whole
-    blocks, this process the first and forked children the others,
-    each child through a temporary file (see _write_shares), and the
-    bytes are the same.  A smaller table, one CPU or a platform without
+    CPU this process may run on, by at most one forked child per
+    CSV_FORK_BLOCKS blocks: each child formats one contiguous share of
+    whole blocks into a temporary file, and this process copies the
+    files into the output in order (see _write_shares), so the bytes
+    are the same.  A smaller table, one CPU or a platform without
     os.fork is formatted here alone.  On 2 CPUs the 118 MB of a default
-    charge are written in 2.3-2.9 s instead of 3.9 s, and no process
-    holds more than one block's text.
+    charge are written in 2.2-2.4 s instead of 4.0-5.5 s, and no
+    process holds more than one block's text.
     """
     with (contextlib.nullcontext(sys.stdout) if path is None or path == "-"
           else open(path, "w")) as fh:
@@ -108,26 +108,32 @@ def _csv_blocks(rows, start: int, stop: int):
 
 
 def _write_shares(fh, rows, bounds: list[int]) -> None:
-    """Write rows[bounds[0]:bounds[-1]] to fh: this process formats the
-    first share, rows[bounds[0]:bounds[1]], and a forked child each
-    later share rows[bounds[i]:bounds[i + 1]].
+    """Write rows[bounds[0]:bounds[-1]] to fh, one share
+    rows[bounds[i]:bounds[i + 1]] after another: a single share is
+    formatted here, and two or more by one forked child each.
 
     Each child writes its share, block by block, to its own unlinked
     temporary file and ends with os._exit, so it never returns into the
     caller's stack (no finally block or atexit hook runs twice, and no
-    inherited buffer is flushed) and never touches fh.  Meanwhile this
-    process formats the first share into fh, block by block, then waits
-    for each child in order and copies its file into fh, CSV_COPY_BYTES
-    at a time.  So no process holds more than one block's text.  Every
-    child is reaped before this returns or raises; on an error here the
-    children left are killed first.  A child that raised has its
-    exception raised here (see _reraise_child), so the CSV is never
-    silently cut short.
+    inherited buffer is flushed) and never touches fh.  This process
+    waits for each child in order and copies its file into fh,
+    CSV_COPY_BYTES at a time, so no process holds more than one block's
+    text.  It formats no share itself then: when it formatted the
+    first, the heap it left made perfbench's np.loadtxt check of
+    charge-cc-cli peak at 53 MB instead of 46 MB in about half the
+    runs (BENCH_30.json).  Every child is reaped before this returns or
+    raises; on an error here the children left are killed first.  A
+    child that raised has its exception raised here (see
+    _reraise_child), so the CSV is never silently cut short.
     """
+    if len(bounds) == 2:
+        for text in _csv_blocks(rows, bounds[0], bounds[1]):
+            fh.write(text)
+        return
     import tempfile   # numpy has imported it: no import time here
     children = []   # (pid, its temporary file), in the order of shares
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
+        for start, stop in zip(bounds[:-1], bounds[1:]):
             # unbuffered: the child writes it through its own wrapper and
             # this process reads it with os.readv
             share = tempfile.TemporaryFile(buffering=0)
@@ -139,8 +145,6 @@ def _write_shares(fh, rows, bounds: list[int]) -> None:
             if pid == 0:
                 _format_share(rows, start, stop, share.fileno())
             children.append((pid, share))
-        for text in _csv_blocks(rows, bounds[0], bounds[1]):
-            fh.write(text)
         # one buffer for every read: a new bytes object per os.read
         # fragmented the heap, and a later 12 MB np.loadtxt peaked 8 MB
         # higher for it

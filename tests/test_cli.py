@@ -584,7 +584,7 @@ def assert_bytes_equal_savetxt(tmp_path, n_rows, n_cols, seed, palette, form):
 @pytest.fixture
 def forked(monkeypatch):
     """fork(procs) makes write_csv split a table of two blocks or more
-    over procs processes; it returns the list of os.fork results in
+    over procs children; it returns the list of os.fork results in
     this process since that call, one per child."""
     real_fork = os.fork
     pids = []
@@ -627,12 +627,12 @@ class TestWriteCsv:
             self, tmp_path, forked, procs, n_rows, n_cols, seed, palette,
             form):
         # the last share ends on a block's edge or off it; at 2 blocks
-        # over 3 processes one process fewer is forked
+        # over 3 processes one child fewer is forked
         pids = forked(procs)
         assert_bytes_equal_savetxt(tmp_path, n_rows, n_cols, seed, palette,
                                    form)
         blocks = -(-n_rows // CSV_BLOCK)
-        assert len(pids) == min(procs, blocks) - 1
+        assert len(pids) == min(procs, blocks)
         assert_no_child_left()
 
     @pytest.mark.parametrize("procs", [2, 3])
@@ -642,7 +642,7 @@ class TestWriteCsv:
         pids = forked(procs)
         out = tmp_path / "out.csv"
         write_csv(str(out), TRACE_COLUMNS, rows)
-        assert len(pids) == procs - 1
+        assert len(pids) == procs
         assert out.read_bytes() == savetxt_bytes(
             trace.column_stack()[::3], TRACE_COLUMNS)
 
@@ -654,7 +654,7 @@ class TestWriteCsv:
         pids = forked(3)
         capsys.readouterr()
         assert main(args + ["--out", "-"]) == EXIT_OK
-        assert len(pids) == 2
+        assert len(pids) == 3
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
     @pytest.mark.parametrize("n_rows", [0, 1])
@@ -683,8 +683,9 @@ class TestWriteCsv:
 
     @staticmethod
     def spoil_children(monkeypatch, fail):
-        """Make cmd_charge's rows call fail() in place of a block of a
-        child's share (every block after the first)."""
+        """Make cmd_charge's rows call fail() in place of every block
+        after the first: in a forked write, in every child but the
+        first."""
         class SpoiltRows(TraceRows):
             def __getitem__(self, rows):
                 if rows.start >= CSV_BLOCK:
@@ -696,7 +697,7 @@ class TestWriteCsv:
                                       "child-killed", "parent-write-raises"])
     def test_every_child_is_reaped(self, tmp_path, capsys, forked,
                                    monkeypatch, case):
-        # 2000 rows over three processes: shares of 1, 1 and 2 blocks
+        # 2000 rows over three children: shares of 1, 1 and 2 blocks
         args = charge_args(duration=0.2)
         out = tmp_path / "out.csv"
         want_err = ""
@@ -729,7 +730,7 @@ class TestWriteCsv:
             with open(finally_log, "a") as log:
                 log.write(f"{os.getpid()}\n")
         assert finally_log.read_text() == f"{os.getpid()}\n"
-        assert len(pids) == 2
+        assert len(pids) == 3
         assert_no_child_left()
         assert code == (EXIT_OK if case == "success" else EXIT_CONFIG)
         assert capsys.readouterr().err == want_err
@@ -754,7 +755,7 @@ class TestWriteCsv:
             except Exception as exc:   # as the interpreter would show it
                 outcome = (repr(exc), getattr(exc, "__notes__", None))
             outcomes.append((outcome, capsys.readouterr().err))
-            assert len(pids) == procs - 1
+            assert len(pids) == (procs if procs > 1 else 0)
             assert_no_child_left()
         serial, forked_ = outcomes
         if isinstance(error, RuntimeError):
